@@ -25,3 +25,39 @@ GOLDEN_RUNS = [
     ("validate", "--check", "ri", "--model", f"a={FIXTURES / 'model_a.csv'}",
      "--model", f"b={FIXTURES / 'model_b.csv'}"),
 ]
+
+# Stand-in for the --emit-points output path, which each test run puts in its
+# own temporary directory.
+POINTS = "<points>"
+
+# Frozen-snapshot runs beyond GOLDEN_RUNS, for paths no golden run reaches.
+EXTRA_RUNS = {
+    "regress_skip_terms": (
+        "regress", "--input", str(FIXTURES / "zero_actual.csv"), "--actual-col", "a",
+        "--predicted-col", "p", "--skip-undefined-terms",
+        "--metrics", "MAPE,MSPE,MRAE"),
+    "regress_drop_bad_rows_table": (
+        "regress", "--input", str(FIXTURES / "bad_cell.csv"), "--actual-col", "a",
+        "--predicted-col", "p", "--drop-bad-rows", "--metrics", "MAE",
+        "--format", "table"),
+    "classify_aca_weight_table": (
+        "classify", "--input", str(FIXTURES / "c1.csv"), "--label-col", "label",
+        "--score-col", "score", "--positive", "pos", "--aca-weight", "0.7",
+        "--format", "table"),
+    "validate_rm": ("validate", "--check", "rm", "--input", str(FIXTURES / "model_a.csv")),
+    "validate_objective": (
+        "validate", "--check", "objective", "--train", str(FIXTURES / "model_a.csv"),
+        "--validation", str(FIXTURES / "model_b.csv")),
+    "curves_pr_lift": (
+        "curves", "--kind", "pr", "--input", str(FIXTURES / "s1.csv"),
+        "--label-col", "label", "--score-col", "score", "--positive", "pos",
+        "--lift-fraction", "0.5"),
+    "curves_roc_points": (
+        "curves", "--kind", "roc", "--input", str(FIXTURES / "s1.csv"),
+        "--label-col", "label", "--score-col", "score", "--positive", "pos",
+        "--emit-points", POINTS),
+}
+
+# Every snapshot under fixtures/golden, by file stem.
+SNAPSHOT_RUNS = {**{f"golden{i}": argv for i, argv in enumerate(GOLDEN_RUNS)},
+                 **EXTRA_RUNS}
