@@ -10,10 +10,6 @@ from __future__ import annotations
 from math import fsum
 
 
-def mean(values) -> float:
-    return fsum(values) / len(values)
-
-
 def sum_sq_dev(values, center: float) -> float:
     return fsum((v - center) ** 2 for v in values)
 

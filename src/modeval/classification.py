@@ -18,44 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
 
-from .dataset import (POSITIVE, ConfusionMatrix2, ConfusionMatrixK, MetricValue,
-                      PairedSeries, ScoredBinarySet)
+from .dataset import (NEGATIVE, POSITIVE, ConfusionMatrix2, ConfusionMatrixK, Metric,
+                      MetricValue, PairedSeries, ScoredBinarySet,
+                      _check_probabilities, select_metrics)
 from .errors import DataError, UsageError
 
 CLAMP_EPSILON = 1e-15
-
-FORMULA_NOTES = {
-    "TPR": "TPR = TP / (TP + FN)",
-    "TNR": "TNR = TN / (TN + FP)",
-    "PPV": "PPV = TP / (TP + FP)",
-    "NPV": "NPV = TN / (TN + FN)",
-    "FPR": "FPR = FP / (FP + TN)",
-    "FNR": "FNR = FN / (FN + TP)",
-    "FDR": "FDR = FP / (FP + TP)",
-    "FOR": "FOR = FN / (FN + TN)  [complement of NPV]",
-    "LR_PLUS": "LR+ = TPR / FPR",
-    "LR_MINUS": "LR- = FNR / TNR",
-    "DOR": "DOR = LR+ / LR-  [= (TP*TN)/(FP*FN)]",
-    "ACC": "ACC = (TP + TN) / (TP + TN + FP + FN)",
-    "F_BETA": "F_beta = (1 + b^2)*TP / ((1 + b^2)*TP + b^2*FN + FP)",
-    "MCC": "MCC = (TP*TN - FP*FN) / sqrt((TP+FP)(TP+FN)(TN+FP)(TN+FN))  "
-           "[four-factor denominator]",
-    "BM": "BM = TPR + TNR - 1",
-    "MK": "MK = PPV + NPV - 1",
-    "ACA": "ACA = w*TPR + (1 - w)*TNR  [weighted per-class recall]",
-    "BACC": "BACC = mean of per-class recall (empty classes excluded)",
-    "KAPPA": "kappa = (p_o - p_e) / (1 - p_e)",
-    "HAMMING": "HAMMING = fraction of positions where actual != predicted",
-    "LOG_LOSS": "LOG_LOSS = -mean(log p[true class]); log arguments floored at 1e-15",
-    "MXE": "MXE = -mean(y*log(s) + (1-y)*log(1-s)); log arguments floored at 1e-15",
-    "BRIER": "BRIER = mean((s_i - y_i)^2), y in {0,1}",
-    "HINGE": "HINGE = mean(max(0, 1 - q*y)), q = +/-1",
-    "CM": "CM = sum(|A_i - P_i| / (|A_i| + |P_i|))",
-    "WHD": "WHD = sum(|A_i - P_i| / max(A_i, P_i))  [non-negative inputs assumed]",
-}
-
 
 @dataclass(frozen=True)
 class RateSet:
@@ -259,18 +230,12 @@ def log_loss(probs: ProbabilityMatrix) -> MetricValue:
     return MetricValue.defined("LOG_LOSS", fsum(terms) / len(terms))
 
 
-def _check_probability_scores(data: ScoredBinarySet):
-    for i, s in enumerate(data.scores):
-        if not 0.0 <= s <= 1.0:
-            raise DataError(f"scores[{i}] = {s!r} outside [0, 1]")
-
-
 def mean_cross_entropy(data: ScoredBinarySet) -> MetricValue:
     """Binary cross entropy of scores interpreted as positive-class probabilities.
 
     Coincides with log_loss on the equivalent two-column probability matrix.
     """
-    _check_probability_scores(data)
+    _check_probabilities(data.scores)
     terms = [-_clamped_log(s) if is_pos else -_clamped_log(1.0 - s)
              for is_pos, s in zip(data.flags, data.scores)]
     return MetricValue.defined("MXE", fsum(terms) / len(terms))
@@ -278,7 +243,7 @@ def mean_cross_entropy(data: ScoredBinarySet) -> MetricValue:
 
 def brier_score(data: ScoredBinarySet) -> MetricValue:
     """Mean squared gap between forecast probability and the 0/1 outcome."""
-    _check_probability_scores(data)
+    _check_probabilities(data.scores)
     terms = [(s - (1.0 if is_pos else 0.0)) ** 2
              for is_pos, s in zip(data.flags, data.scores)]
     return MetricValue.defined("BRIER", fsum(terms) / len(terms))
@@ -323,7 +288,102 @@ def wave_hedges(data: PairedSeries) -> MetricValue:
 
 def probability_matrix_from_scores(data: ScoredBinarySet) -> ProbabilityMatrix:
     """Two-column probability matrix [1-s, s] with the positive class as column 1."""
-    _check_probability_scores(data)
+    _check_probabilities(data.scores)
     rows = tuple((1.0 - s, s) for s in data.scores)
     true_class = tuple(1 if l == POSITIVE else 0 for l in data.labels)
     return ProbabilityMatrix(rows, true_class)
+
+
+# ---------------------------------------------------------------------------
+# Catalog of metrics on a scored set cut at a threshold
+
+
+class ThresholdContext:
+    """A scored set, its confusion matrix at a threshold, and what metrics share.
+
+    Each shared quantity is computed on first use and kept. ``matrix`` must be
+    ``confusion_from_scores(data, threshold)``; callers that also report the
+    counts build it once and pass it in.
+    """
+
+    def __init__(self, data: ScoredBinarySet, matrix: ConfusionMatrix2,
+                 threshold: float, aca_weight: float = 0.5):
+        self.data = data
+        self.matrix = matrix
+        self.threshold = threshold
+        self.aca_weight = aca_weight
+
+    @cached_property
+    def rates(self) -> RateSet:
+        return rates(self.matrix)
+
+    @cached_property
+    def likelihood(self):
+        return likelihood_ratios(self.matrix)
+
+    @cached_property
+    def kmatrix(self) -> ConfusionMatrixK:
+        m = self.matrix
+        return ConfusionMatrixK((NEGATIVE, POSITIVE), ((m.tn, m.fp), (m.fn, m.tp)))
+
+    @cached_property
+    def indicator_series(self) -> PairedSeries:
+        """(1/0 label indicator, score) pairs for the vector distances."""
+        return PairedSeries([1.0 if f else 0.0 for f in self.data.flags],
+                            self.data.scores)
+
+    def predicted_labels(self):
+        return (POSITIVE if s >= self.threshold else NEGATIVE for s in self.data.scores)
+
+
+_F_BETA_NOTE = "F_beta = (1 + b^2)*TP / ((1 + b^2)*TP + b^2*FN + FP)"
+_ON_INDICATORS = " [on (indicator label, score) pairs]"
+
+METRICS = {m.id: m for m in (
+    Metric("TPR", lambda c: c.rates.tpr, "TPR = TP / (TP + FN)"),
+    Metric("TNR", lambda c: c.rates.tnr, "TNR = TN / (TN + FP)"),
+    Metric("PPV", lambda c: c.rates.ppv, "PPV = TP / (TP + FP)"),
+    Metric("NPV", lambda c: c.rates.npv, "NPV = TN / (TN + FN)"),
+    Metric("FPR", lambda c: c.rates.fpr, "FPR = FP / (FP + TN)"),
+    Metric("FNR", lambda c: c.rates.fnr, "FNR = FN / (FN + TP)"),
+    Metric("FDR", lambda c: c.rates.fdr, "FDR = FP / (FP + TP)"),
+    Metric("FOR", lambda c: c.rates.for_rate, "FOR = FN / (FN + TN)  [complement of NPV]"),
+    Metric("LR_PLUS", lambda c: c.likelihood[0], "LR+ = TPR / FPR"),
+    Metric("LR_MINUS", lambda c: c.likelihood[1], "LR- = FNR / TNR"),
+    Metric("DOR", lambda c: c.likelihood[2], "DOR = LR+ / LR-  [= (TP*TN)/(FP*FN)]"),
+    Metric("ACC", lambda c: accuracy(c.matrix), "ACC = (TP + TN) / (TP + TN + FP + FN)"),
+    Metric("F1", lambda c: f_beta(c.matrix, 1.0), _F_BETA_NOTE),
+    Metric("F2", lambda c: f_beta(c.matrix, 2.0), _F_BETA_NOTE),
+    Metric("MCC", lambda c: mcc(c.matrix),
+           "MCC = (TP*TN - FP*FN) / sqrt((TP+FP)(TP+FN)(TN+FP)(TN+FN))  "
+           "[four-factor denominator]"),
+    Metric("BM", lambda c: informedness_markedness(c.matrix)[0], "BM = TPR + TNR - 1"),
+    Metric("MK", lambda c: informedness_markedness(c.matrix)[1], "MK = PPV + NPV - 1"),
+    Metric("ACA", lambda c: average_class_accuracy(c.matrix, c.aca_weight),
+           "ACA = w*TPR + (1 - w)*TNR  [weighted per-class recall] [w = {w}]"),
+    Metric("BACC", lambda c: balanced_accuracy(c.kmatrix),
+           "BACC = mean of per-class recall (empty classes excluded)"),
+    Metric("KAPPA", lambda c: cohen_kappa(c.kmatrix), "kappa = (p_o - p_e) / (1 - p_e)"),
+    Metric("HAMMING", lambda c: hamming_loss(c.data.labels, c.predicted_labels()),
+           "HAMMING = fraction of positions where actual != predicted"),
+    Metric("LOG_LOSS", lambda c: log_loss(probability_matrix_from_scores(c.data)),
+           "LOG_LOSS = -mean(log p[true class]); log arguments floored at 1e-15"),
+    Metric("BRIER", lambda c: brier_score(c.data), "BRIER = mean((s_i - y_i)^2), y in {0,1}"),
+    Metric("MXE", lambda c: mean_cross_entropy(c.data),
+           "MXE = -mean(y*log(s) + (1-y)*log(1-s)); log arguments floored at 1e-15"),
+    Metric("HINGE", lambda c: hinge_loss(c.data), "HINGE = mean(max(0, 1 - q*y)), q = +/-1"),
+    Metric("CM", lambda c: canberra(c.indicator_series),
+           "CM = sum(|A_i - P_i| / (|A_i| + |P_i|))" + _ON_INDICATORS),
+    Metric("WHD", lambda c: wave_hedges(c.indicator_series),
+           "WHD = sum(|A_i - P_i| / max(A_i, P_i))  [non-negative inputs assumed]"
+           + _ON_INDICATORS),
+)}
+
+
+def threshold_report(ctx: ThresholdContext, ids) -> list[tuple[MetricValue, str]]:
+    """(value, formula note) for each requested id, in catalog order.
+
+    A ``{w}`` in a note stands for the ACA weight in use.
+    """
+    return [(m.fn(ctx), m.note.replace("{w}", f"{ctx.aca_weight:g}"))
+            for m in select_metrics(METRICS, ids, "classification")]

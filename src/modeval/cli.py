@@ -16,14 +16,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from . import classification, curves, regression, validation
-from .dataset import (ConfusionMatrixK, MetricValue, NEGATIVE, PairedSeries,
-                      POSITIVE, confusion_from_scores, load_paired_csv,
+from .dataset import (MetricValue, confusion_from_scores, load_paired_csv,
                       load_scored_csv)
 from .errors import DataError, SchemaError, UsageError
 
@@ -37,6 +35,27 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the exit-code contract wants 1
     def error(self, message):
         raise UsageError(message)
+
+
+class _Inputs:
+    """Reads a command's input files into one digest and collects loader warnings."""
+
+    def __init__(self):
+        self.hasher = hashlib.sha256()
+        self.warnings: list[str] = []
+
+    def read(self, path: str) -> bytes:
+        data = Path(path).read_bytes()
+        self.hasher.update(data)
+        return data
+
+    def paired(self, path: str, args, **options):
+        return load_paired_csv(self.read(path), args.actual_col, args.predicted_col,
+                               warnings=self.warnings, **options)
+
+    def scored(self, args, **options):
+        return load_scored_csv(self.read(args.input), args.label_col, args.score_col,
+                               args.positive, warnings=self.warnings, **options)
 
 
 def _entry(mv: MetricValue, note: str) -> dict:
@@ -71,13 +90,13 @@ def _render_table(doc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finish(args, digest: str, entries: list, warnings: list) -> int:
+def _finish(argv, args, inputs: _Inputs, entries: list) -> int:
     doc = {
         "tool_version": __version__,
-        "command": "modeval " + " ".join(args.raw_argv),
-        "input_digest": digest,
+        "command": "modeval " + " ".join(argv),
+        "input_digest": inputs.hasher.hexdigest(),
         "metrics": entries,
-        "warnings": warnings,
+        "warnings": inputs.warnings,
     }
     if args.format == "table":
         sys.stdout.write(_render_table(doc))
@@ -89,292 +108,120 @@ def _finish(args, digest: str, entries: list, warnings: list) -> int:
     return EXIT_OK
 
 
-def _read_bytes(path: str, hasher) -> bytes:
-    data = Path(path).read_bytes()
-    hasher.update(data)
-    return data
-
-
-def _parse_metric_list(text: str, catalog, kind: str) -> list[str]:
+def _metric_ids(text: str, catalog) -> list[str]:
+    """The ids a --metrics list names, or the whole catalog for ``all``."""
     if text.strip().lower() == "all":
         return list(catalog)
-    ids = [t.strip().upper() for t in text.split(",") if t.strip()]
-    if not ids:
-        raise UsageError(f"empty {kind} metric list")
-    unknown = [i for i in ids if i not in catalog]
-    if unknown:
-        raise UsageError(f"unknown {kind} metric id(s): {', '.join(unknown)}")
-    # catalog order, duplicates collapsed
-    requested = set(ids)
-    return [i for i in catalog if i in requested]
+    return [t.strip().upper() for t in text.split(",") if t.strip()]
 
 
-# ---------------------------------------------------------------------------
-# regress
-
-
-def _cmd_regress(args) -> int:
-    hasher = hashlib.sha256()
-    raw = _read_bytes(args.input, hasher)
-    warnings: list[str] = []
-    data = load_paired_csv(raw, args.actual_col, args.predicted_col, args.ordered,
-                           drop_bad_rows=args.drop_bad_rows, warnings=warnings)
-    ids = _parse_metric_list(args.metrics, regression.METRIC_IDS, "regression")
-    report = regression.regression_report(data, ids,
+def _cmd_regress(args, inputs: _Inputs) -> list:
+    data = inputs.paired(args.input, args, ordered=args.ordered,
+                         drop_bad_rows=args.drop_bad_rows)
+    report = regression.regression_report(data, _metric_ids(args.metrics, regression.METRICS),
                                           skip_undefined_terms=args.skip_undefined_terms)
-    entries = [_entry(report.metrics[i], report.formula_notes[i]) for i in ids]
-    return _finish(args, hasher.hexdigest(), entries, warnings)
+    return [_entry(mv, report.formula_notes[i]) for i, mv in report.metrics.items()]
 
 
-# ---------------------------------------------------------------------------
-# classify
-
-CLASSIFY_IDS = ("TPR", "TNR", "PPV", "NPV", "FPR", "FNR", "FDR", "FOR",
-                "LR_PLUS", "LR_MINUS", "DOR", "ACC", "F1", "F2", "MCC", "BM",
-                "MK", "ACA", "BACC", "KAPPA", "HAMMING", "LOG_LOSS", "BRIER",
-                "MXE", "HINGE", "CM", "WHD")
-
-
-class _ClassifyContext:
-    """Lazily shares the confusion matrix and rate set across requested ids."""
-
-    def __init__(self, data, threshold, aca_weight):
-        self.data = data
-        self.threshold = threshold
-        self.matrix = confusion_from_scores(data, threshold)
-        self.aca_weight = aca_weight
-        self._rates = None
-        self._lr = None
-
-    def rates(self):
-        if self._rates is None:
-            self._rates = classification.rates(self.matrix)
-        return self._rates
-
-    def likelihood(self):
-        if self._lr is None:
-            self._lr = classification.likelihood_ratios(self.matrix)
-        return self._lr
-
-    def kmatrix(self) -> ConfusionMatrixK:
-        m = self.matrix
-        return ConfusionMatrixK((NEGATIVE, POSITIVE),
-                                ((m.tn, m.fp), (m.fn, m.tp)))
-
-    def label_pairs(self):
-        actual = self.data.labels
-        predicted = tuple(POSITIVE if s >= self.threshold else NEGATIVE
-                          for s in self.data.scores)
-        return actual, predicted
-
-    def indicator_series(self) -> PairedSeries:
-        return PairedSeries([1.0 if f else 0.0 for f in self.data.flags],
-                            self.data.scores)
-
-
-def _classify_value(metric_id: str, ctx: _ClassifyContext) -> tuple[MetricValue, str]:
-    notes = classification.FORMULA_NOTES
-    if metric_id in ("TPR", "TNR", "PPV", "NPV", "FPR", "FNR", "FDR", "FOR"):
-        return ctx.rates().as_dict()[metric_id], notes[metric_id]
-    if metric_id in ("LR_PLUS", "LR_MINUS", "DOR"):
-        trio = dict(zip(("LR_PLUS", "LR_MINUS", "DOR"), ctx.likelihood()))
-        return trio[metric_id], notes[metric_id]
-    if metric_id == "ACC":
-        return classification.accuracy(ctx.matrix), notes["ACC"]
-    if metric_id == "F1":
-        return classification.f_beta(ctx.matrix, 1.0), notes["F_BETA"]
-    if metric_id == "F2":
-        return classification.f_beta(ctx.matrix, 2.0), notes["F_BETA"]
-    if metric_id == "MCC":
-        return classification.mcc(ctx.matrix), notes["MCC"]
-    if metric_id == "BM":
-        return classification.informedness_markedness(ctx.matrix)[0], notes["BM"]
-    if metric_id == "MK":
-        return classification.informedness_markedness(ctx.matrix)[1], notes["MK"]
-    if metric_id == "ACA":
-        return (classification.average_class_accuracy(ctx.matrix, ctx.aca_weight),
-                notes["ACA"] + f" [w = {ctx.aca_weight:g}]")
-    if metric_id == "BACC":
-        return classification.balanced_accuracy(ctx.kmatrix()), notes["BACC"]
-    if metric_id == "KAPPA":
-        return classification.cohen_kappa(ctx.kmatrix()), notes["KAPPA"]
-    if metric_id == "HAMMING":
-        actual, predicted = ctx.label_pairs()
-        return classification.hamming_loss(actual, predicted), notes["HAMMING"]
-    if metric_id == "LOG_LOSS":
-        probs = classification.probability_matrix_from_scores(ctx.data)
-        return classification.log_loss(probs), notes["LOG_LOSS"]
-    if metric_id == "BRIER":
-        return classification.brier_score(ctx.data), notes["BRIER"]
-    if metric_id == "MXE":
-        return classification.mean_cross_entropy(ctx.data), notes["MXE"]
-    if metric_id == "HINGE":
-        return classification.hinge_loss(ctx.data), notes["HINGE"]
-    if metric_id == "CM":
-        return (classification.canberra(ctx.indicator_series()),
-                notes["CM"] + " [on (indicator label, score) pairs]")
-    if metric_id == "WHD":
-        return (classification.wave_hedges(ctx.indicator_series()),
-                notes["WHD"] + " [on (indicator label, score) pairs]")
-    raise UsageError(f"unknown classification metric id {metric_id!r}")
-
-
-def _cmd_classify(args) -> int:
-    if not math.isfinite(args.threshold):
-        raise UsageError(f"--threshold must be finite, got {args.threshold!r}")
-    hasher = hashlib.sha256()
-    raw = _read_bytes(args.input, hasher)
-    warnings: list[str] = []
-    data = load_scored_csv(raw, args.label_col, args.score_col, args.positive,
-                           drop_bad_rows=args.drop_bad_rows, warnings=warnings)
-    ids = _parse_metric_list(args.metrics, CLASSIFY_IDS, "classification")
-    ctx = _ClassifyContext(data, args.threshold, args.aca_weight)
-    m = ctx.matrix
-    entries = [_plain_entry("TP", m.tp), _plain_entry("FP", m.fp),
-               _plain_entry("FN", m.fn), _plain_entry("TN", m.tn)]
-    for metric_id in ids:
-        mv, note = _classify_value(metric_id, ctx)
-        entries.append(_entry(mv, note))
-    return _finish(args, hasher.hexdigest(), entries, warnings)
-
-
-# ---------------------------------------------------------------------------
-# curves
-
-
-def _format_float(value: float) -> str:
-    return repr(float(value))
+def _cmd_classify(args, inputs: _Inputs) -> list:
+    data = inputs.scored(args, drop_bad_rows=args.drop_bad_rows)
+    ids = _metric_ids(args.metrics, classification.METRICS)
+    matrix = confusion_from_scores(data, args.threshold)
+    ctx = classification.ThresholdContext(data, matrix, args.threshold, args.aca_weight)
+    counts = [_plain_entry(name, getattr(matrix, name.lower()))
+              for name in ("TP", "FP", "FN", "TN")]
+    return counts + [_entry(mv, note)
+                     for mv, note in classification.threshold_report(ctx, ids)]
 
 
 def _write_points(path: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,x,y\n")
-        for threshold, x, y in rows:
-            fh.write(f"{_format_float(threshold)},{_format_float(x)},"
-                     f"{_format_float(y)}\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _cmd_curves(args) -> int:
-    hasher = hashlib.sha256()
-    raw = _read_bytes(args.input, hasher)
-    warnings: list[str] = []
-    data = load_scored_csv(raw, args.label_col, args.score_col, args.positive,
-                           warnings=warnings)
-    entries = []
+def _cmd_curves(args, inputs: _Inputs) -> list:
+    data = inputs.scored(args)
+    notes = curves.FORMULA_NOTES
     if args.kind == "roc":
         curve = curves.roc_curve(data)
-        entries.append(_entry(curves.auc(curve), curves.FORMULA_NOTES["AUC"]))
+        entries = [_entry(curves.auc(curve), notes["AUC"])]
         points = [(p.threshold, p.fpr, p.tpr) for p in curve.points]
     else:
         curve = curves.pr_curve(data)
-        entries.append(_entry(curves.average_precision(data),
-                              curves.FORMULA_NOTES["AP"]))
-        entries.append(_entry(curves.break_even_point(curve),
-                              curves.FORMULA_NOTES["BREAK_EVEN"]))
+        entries = [_entry(curves.average_precision(data), notes["AP"]),
+                   _entry(curves.break_even_point(curve), notes["BREAK_EVEN"])]
         points = [(p.threshold, p.recall, p.precision) for p in curve.points]
     if args.lift_fraction is not None:
         entries.append(_entry(curves.lift(data, args.lift_fraction),
-                              curves.FORMULA_NOTES["LIFT"]
-                              + f" [fraction = {args.lift_fraction:g}]"))
+                              notes["LIFT"] + f" [fraction = {args.lift_fraction:g}]"))
     if args.cal:
         report = curves.calibration_error(data)
         entries.append(_plain_entry(
-            "CAL", report.cal,
-            curves.FORMULA_NOTES["CAL"] + f" [{len(report.window_errors)} windows]"))
+            "CAL", report.cal, notes["CAL"] + f" [{len(report.window_errors)} windows]"))
     if args.emit_points:
         _write_points(args.emit_points, points)
-    return _finish(args, hasher.hexdigest(), entries, warnings)
+    return entries
 
 
-# ---------------------------------------------------------------------------
-# validate
+_CHECK_NEEDS = {"tropsha": ("input",), "rm": ("input",),
+                "adequacy": ("observations", "parameters"),
+                "objective": ("train", "validation"), "ri": ()}
 
 
-def _require(args, names):
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
+def _cmd_validate(args, inputs: _Inputs) -> list:
+    missing = [f"--{n.replace('_', '-')}" for n in _CHECK_NEEDS[args.check]
+               if getattr(args, n) is None]
     if missing:
         raise UsageError(f"--check {args.check} requires {', '.join(missing)}")
-
-
-def _load_series(path: str, args, hasher, warnings) -> "PairedSeries":
-    raw = _read_bytes(path, hasher)
-    return load_paired_csv(raw, args.actual_col, args.predicted_col,
-                           warnings=warnings)
-
-
-def _bool_entry(entry_id: str, value: bool, note: str = "") -> dict:
-    return _plain_entry(entry_id, bool(value), note)
-
-
-def _cmd_validate(args) -> int:
-    hasher = hashlib.sha256()
-    warnings: list[str] = []
     note = validation.FORMULA_NOTES
-    entries: list[dict] = []
-
     if args.check == "tropsha":
-        _require(args, ("input",))
-        series = _load_series(args.input, args, hasher, warnings)
-        rep = validation.tropsha_criteria(series)
+        rep = validation.tropsha_criteria(inputs.paired(args.input, args))
         entries = [_plain_entry("R2", rep.r2, note["TROPSHA"]),
                    _plain_entry("K", rep.k), _plain_entry("K_PRIME", rep.k_prime),
-                   _plain_entry("RO2", rep.ro2),
-                   _plain_entry("RO2_PRIME", rep.ro2_prime)]
+                   _plain_entry("RO2", rep.ro2), _plain_entry("RO2_PRIME", rep.ro2_prime)]
         for entry_id, value in (("M_INDEX", rep.m_index), ("N_INDEX", rep.n_index)):
             if value is None:
                 entries.append(_entry(MetricValue.undefined(entry_id, "zero_denominator"), ""))
             else:
                 entries.append(_plain_entry(entry_id, value))
-        entries += [_bool_entry("PASS_K", rep.pass_k, "0.85 <= k or k' <= 1.15"),
-                    _bool_entry("PASS_M", rep.pass_m, "|m| < 0.1"),
-                    _bool_entry("PASS_N", rep.pass_n, "|n| < 0.1"),
-                    _bool_entry("OVERALL_PASS", rep.overall_pass)]
-    elif args.check == "rm":
-        _require(args, ("input",))
-        series = _load_series(args.input, args, hasher, warnings)
-        rep = validation.roy_rm(series)
-        entries = [_plain_entry("RM", rep.rm, note["RM"]),
-                   _plain_entry("R2", rep.r2), _plain_entry("RO2", rep.ro2),
-                   _bool_entry("PASS_RM", rep.passed, f"Rm > {rep.threshold:g}")]
-    elif args.check == "adequacy":
-        _require(args, ("observations", "parameters"))
-        hasher.update(f"observations={args.observations},"
-                      f"parameters={args.parameters}".encode())
+        return entries + [_plain_entry("PASS_K", rep.pass_k, "0.85 <= k or k' <= 1.15"),
+                          _plain_entry("PASS_M", rep.pass_m, "|m| < 0.1"),
+                          _plain_entry("PASS_N", rep.pass_n, "|n| < 0.1"),
+                          _plain_entry("OVERALL_PASS", rep.overall_pass)]
+    if args.check == "rm":
+        rep = validation.roy_rm(inputs.paired(args.input, args))
+        return [_plain_entry("RM", rep.rm, note["RM"]),
+                _plain_entry("R2", rep.r2), _plain_entry("RO2", rep.ro2),
+                _plain_entry("PASS_RM", rep.passed, f"Rm > {rep.threshold:g}")]
+    if args.check == "adequacy":
+        inputs.hasher.update(f"observations={args.observations},"
+                             f"parameters={args.parameters}".encode())
         rep = validation.data_adequacy_ratio(args.observations, args.parameters)
-        entries = [_plain_entry("RATIO", rep.ratio, note["ADEQUACY"]),
-                   _plain_entry("VERDICT", rep.verdict),
-                   _bool_entry("ADEQUATE", rep.adequate)]
-    elif args.check == "objective":
-        _require(args, ("train", "validation"))
-        train = _load_series(args.train, args, hasher, warnings)
-        holdout = _load_series(args.validation, args, hasher, warnings)
+        return [_plain_entry("RATIO", rep.ratio, note["ADEQUACY"]),
+                _plain_entry("VERDICT", rep.verdict),
+                _plain_entry("ADEQUATE", rep.adequate)]
+    if args.check == "objective":
+        train = inputs.paired(args.train, args)
+        holdout = inputs.paired(args.validation, args)
         mv = validation.gandomi_objective(validation.SplitSeries(train, holdout))
-        entries = [_entry(mv, note["OBJ"])]
-    elif args.check == "ri":
-        models = args.model or []
-        if len(models) < 2:
-            raise UsageError("--check ri requires at least two --model NAME=PATH flags")
-        pairs = []
-        for model_arg in models:
-            name, sep, path = model_arg.partition("=")
-            if not sep or not name or not path:
-                raise UsageError(f"--model expects NAME=PATH, got {model_arg!r}")
-            pairs.append((name, _load_series(path, args, hasher, warnings)))
-        ranking = validation.reference_index(pairs)
-        for index in ranking.ranking:
-            entries.append(_plain_entry(f"RI[{ranking.model_ids[index]}]",
-                                        ranking.ri[index], note["RI"]))
-        entries.append(_plain_entry(
-            "RANKING", ",".join(ranking.model_ids[i] for i in ranking.ranking)))
-        if ranking.tied_columns:
-            warnings.append("tied metric column(s): " + ",".join(ranking.tied_columns))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown check {args.check!r}")
-    return _finish(args, hasher.hexdigest(), entries, warnings)
-
-
-# ---------------------------------------------------------------------------
-# parser
+        return [_entry(mv, note["OBJ"])]
+    models = args.model or []
+    if len(models) < 2:
+        raise UsageError("--check ri requires at least two --model NAME=PATH flags")
+    pairs = []
+    for model_arg in models:
+        name, sep, path = model_arg.partition("=")
+        if not sep or not name or not path:
+            raise UsageError(f"--model expects NAME=PATH, got {model_arg!r}")
+        pairs.append((name, inputs.paired(path, args)))
+    ranking = validation.reference_index(pairs)
+    if ranking.tied_columns:
+        inputs.warnings.append("tied metric column(s): " + ",".join(ranking.tied_columns))
+    order = [ranking.model_ids[i] for i in ranking.ranking]
+    return [_plain_entry(f"RI[{ranking.model_ids[i]}]", ranking.ri[i], note["RI"])
+            for i in ranking.ranking] + [_plain_entry("RANKING", ",".join(order))]
 
 
 def build_parser() -> _Parser:
@@ -382,47 +229,43 @@ def build_parser() -> _Parser:
                      description="Fitness and error metrics for model predictions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    regress = sub.add_parser("regress", help="regression error metrics")
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("json", "table"), default="json")
+    catalog = _Parser(add_help=False)  # regress and classify
+    catalog.add_argument("--metrics", default="all")
+    catalog.add_argument("--strict", action="store_true")
+    catalog.add_argument("--drop-bad-rows", action="store_true")
+    scored = _Parser(add_help=False)  # classify and curves
+    for flag in ("--input", "--label-col", "--score-col", "--positive"):
+        scored.add_argument(flag, required=True)
+
+    regress = sub.add_parser("regress", parents=[output, catalog],
+                             help="regression error metrics")
     regress.add_argument("--input", required=True)
     regress.add_argument("--actual-col", required=True)
     regress.add_argument("--predicted-col", required=True)
     regress.add_argument("--ordered", action="store_true",
                          help="declare index order meaningful (enables MASE)")
-    regress.add_argument("--metrics", default="all")
-    regress.add_argument("--format", choices=("json", "table"), default="json")
     regress.add_argument("--skip-undefined-terms", action="store_true")
-    regress.add_argument("--strict", action="store_true")
-    regress.add_argument("--drop-bad-rows", action="store_true")
     regress.set_defaults(func=_cmd_regress)
 
-    classify = sub.add_parser("classify", help="threshold classification metrics")
-    classify.add_argument("--input", required=True)
-    classify.add_argument("--label-col", required=True)
-    classify.add_argument("--score-col", required=True)
-    classify.add_argument("--positive", required=True)
+    classify = sub.add_parser("classify", parents=[output, catalog, scored],
+                              help="threshold classification metrics")
     classify.add_argument("--threshold", type=float, default=0.5)
-    classify.add_argument("--metrics", default="all")
     classify.add_argument("--aca-weight", type=float, default=0.5)
-    classify.add_argument("--format", choices=("json", "table"), default="json")
-    classify.add_argument("--strict", action="store_true")
-    classify.add_argument("--drop-bad-rows", action="store_true")
     classify.set_defaults(func=_cmd_classify)
 
-    curves_cmd = sub.add_parser("curves", help="ROC / precision-recall sweeps")
+    curves_cmd = sub.add_parser("curves", parents=[output, scored],
+                                help="ROC / precision-recall sweeps")
     curves_cmd.add_argument("--kind", choices=("roc", "pr"), required=True)
-    curves_cmd.add_argument("--input", required=True)
-    curves_cmd.add_argument("--label-col", required=True)
-    curves_cmd.add_argument("--score-col", required=True)
-    curves_cmd.add_argument("--positive", required=True)
     curves_cmd.add_argument("--emit-points", metavar="PATH")
     curves_cmd.add_argument("--lift-fraction", type=float)
     curves_cmd.add_argument("--cal", action="store_true")
-    curves_cmd.add_argument("--format", choices=("json", "table"), default="json")
     curves_cmd.set_defaults(func=_cmd_curves)
 
-    validate = sub.add_parser("validate", help="multi-criteria model validation")
-    validate.add_argument("--check", required=True,
-                          choices=("tropsha", "rm", "adequacy", "objective", "ri"))
+    validate = sub.add_parser("validate", parents=[output],
+                              help="multi-criteria model validation")
+    validate.add_argument("--check", required=True, choices=tuple(_CHECK_NEEDS))
     validate.add_argument("--input")
     validate.add_argument("--actual-col", default="actual")
     validate.add_argument("--predicted-col", default="predicted")
@@ -431,7 +274,6 @@ def build_parser() -> _Parser:
     validate.add_argument("--train")
     validate.add_argument("--validation")
     validate.add_argument("--model", action="append", metavar="NAME=PATH")
-    validate.add_argument("--format", choices=("json", "table"), default="json")
     validate.set_defaults(func=_cmd_validate)
 
     return parser
@@ -441,16 +283,16 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        args.raw_argv = argv
-        return args.func(args)
+        inputs = _Inputs()
+        return _finish(argv, args, inputs, args.func(args, inputs))
     except UsageError as exc:
         print(f"modeval: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, DataError) as exc:
+    except (SchemaError, DataError, OSError) as exc:
         print(f"modeval: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"modeval: error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"modeval: error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import fsum
 from typing import NamedTuple
 
-from .dataset import MetricValue, ScoredBinarySet
+from .dataset import MetricValue, ScoredBinarySet, _check_probabilities
 from .errors import DataError, DefinednessError, UsageError
 
 CAL_WINDOW_SIZE = 100
@@ -185,9 +185,7 @@ def calibration_error(data: ScoredBinarySet) -> CalibrationReport:
     if n < CAL_WINDOW_SIZE:
         raise DataError(
             f"calibration needs at least {CAL_WINDOW_SIZE} cases, got {n}")
-    for i, s in enumerate(data.scores):
-        if not 0.0 <= s <= 1.0:
-            raise DataError(f"scores[{i}] = {s!r} outside [0, 1]")
+    _check_probabilities(data.scores)
     order = sorted(range(n), key=lambda i: data.scores[i])
     scores = [data.scores[i] for i in order]
     hits = [1 if data.flags[i] else 0 for i in order]

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DataError, EmptyInputError, SchemaError, UsageError
 
@@ -67,10 +69,41 @@ class MetricValue:
         return self.status == DEFINED
 
 
+@dataclass(frozen=True)
+class Metric:
+    """One catalog entry of a metric family.
+
+    ``fn`` maps the family's shared context to the metric's MetricValue; the
+    context computes each statistic that several metrics share on first use.
+    ``note`` is the exact formula variant, reported as ``formula_note``.
+    """
+
+    id: str
+    fn: Callable
+    note: str
+
+
+def select_metrics(table: dict, ids, family: str) -> list[Metric]:
+    """The entries of ``table`` for the requested ids, in catalog order."""
+    requested = set(ids)
+    if not requested:
+        raise UsageError(f"at least one {family} metric id is required")
+    unknown = sorted(requested - set(table))
+    if unknown:
+        raise UsageError(f"unknown {family} metric id(s): {', '.join(unknown)}")
+    return [m for metric_id, m in table.items() if metric_id in requested]
+
+
 def _check_finite(values, name):
     for i, v in enumerate(values):
         if not math.isfinite(v):
             raise DataError(f"{name}[{i}] is not finite: {v!r}")
+
+
+def _check_probabilities(scores):
+    for i, s in enumerate(scores):
+        if not 0.0 <= s <= 1.0:
+            raise DataError(f"scores[{i}] = {s!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -138,14 +171,14 @@ class ScoredBinarySet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def flags(self) -> tuple[bool, ...]:
         """Labels as booleans, True for the positive class."""
         return tuple(l == POSITIVE for l in self.labels)
 
-    @property
+    @cached_property
     def positive_count(self) -> int:
-        return sum(1 for l in self.labels if l == POSITIVE)
+        return sum(self.flags)
 
     @property
     def negative_count(self) -> int:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 
-from .dataset import MetricValue
+from ._stats import sum_sq_dev
+from .dataset import MetricValue, _check_finite
 from .errors import DataError
 
 FORMULA_NOTES = {
@@ -33,16 +34,6 @@ FORMULA_NOTES = {
 }
 
 
-def _finite_tuple(values, name):
-    out = tuple(float(v) for v in values)
-    if not out:
-        raise DataError(f"{name} outputs must be nonempty")
-    for i, v in enumerate(out):
-        if not math.isfinite(v):
-            raise DataError(f"{name}[{i}] is not finite: {v!r}")
-    return out
-
-
 @dataclass(frozen=True)
 class ClassOutputs:
     """Raw classifier outputs split by true class; both sides nonempty."""
@@ -51,8 +42,12 @@ class ClassOutputs:
     majority: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "minority", _finite_tuple(self.minority, "minority"))
-        object.__setattr__(self, "majority", _finite_tuple(self.majority, "majority"))
+        for name in ("minority", "majority"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if not values:
+                raise DataError(f"{name} outputs must be nonempty")
+            _check_finite(values, name)
+            object.__setattr__(self, name, values)
 
     @cached_property
     def minority_mean(self) -> float:
@@ -65,13 +60,11 @@ class ClassOutputs:
     @cached_property
     def minority_std(self) -> float:
         # population form: divide by N
-        m = self.minority_mean
-        return math.sqrt(fsum((v - m) ** 2 for v in self.minority) / len(self.minority))
+        return math.sqrt(sum_sq_dev(self.minority, self.minority_mean) / len(self.minority))
 
     @cached_property
     def majority_std(self) -> float:
-        m = self.majority_mean
-        return math.sqrt(fsum((v - m) ** 2 for v in self.majority) / len(self.majority))
+        return math.sqrt(sum_sq_dev(self.majority, self.majority_mean) / len(self.majority))
 
 
 def sig_scaled(x: float) -> float:

@@ -28,39 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
 
 from ._stats import sum_abs_dev, sum_sq_dev
-from .dataset import MetricValue, PairedSeries
+from .dataset import Metric, MetricValue, PairedSeries, select_metrics
 from .errors import UsageError
-
-FORMULA_NOTES = {
-    "ME": "ME = mean(E_i), E_i = A_i - P_i",
-    "MNB": "MNB = mean(E_i / A_i)",
-    "MPE": "MPE = 100 * mean(E_i / A_i)",
-    "MAE": "MAE = mean(|E_i|)",
-    "MAPE": "MAPE = 100 * mean(|E_i / A_i|)",
-    "RAE": "RAE = sum(|E_i|) / sum(|A_i - mean(A)|)  [mean-of-actuals baseline]",
-    "MARE": "MARE = mean(|E_i / A_i|)",
-    "MRAE": "MRAE = mean(|E_i| / |A_i - mean(A)|)  [per-term mean-of-actuals baseline]",
-    "GMAE": "GMAE = exp(mean(log|E_i|)); 0 when any E_i == 0",
-    "FAE": "FAE = mean(2|E_i| / (|A_i| + |P_i|))",
-    "MSE": "MSE = sum(E_i^2) / n",
-    "RMSE": "RMSE = sqrt(MSE)",
-    "SSE": "SSE = sum(E_i^2)",
-    "RSE": "RSE = sum(E_i^2) / sum((A_i - mean(A))^2)",
-    "RRSE": "RRSE = sqrt(RSE)",
-    "GRMSE": "GRMSE = exp(mean(log|E_i|)); algebraically equal to GMAE",
-    "MSPE": "MSPE = 100 * mean((E_i / A_i)^2)",
-    "RMSPE": "RMSPE = 100 * sqrt(mean((E_i / A_i)^2))",
-    "NRMSE": "NRMSE = RMSE / mean(A)",
-    "NRMSE_SD": "NRMSE_SD = RMSE / stdev(A)  [n-1 denominator]",
-    "NMSE": "NMSE = MSE / variance(A)  [n-1 denominator, single power]",
-    "R2": "R2 = 1 - sum((P_i - A_i)^2) / sum((A_i - mean(A))^2)",
-    "R": "R = Pearson correlation of A and P",
-    "MASE": "MASE = MAE / mean(|A_i - A_{i-1}|, i=2..n)  [naive one-step scaling; "
-            "requires an ordered series]",
-}
 
 
 @dataclass(frozen=True)
@@ -73,273 +46,255 @@ class RegressionReport:
     formula_notes: dict
 
 
-class _SeriesStats:
-    """Per-series sums shared by the metric evaluators (computed once)."""
-
-    __slots__ = ("a", "p", "n", "e", "abs_e", "a_mean", "p_mean", "sse",
-                 "sum_abs_e", "s_aa", "abs_dev_a", "s_pp", "s_ap", "ordered")
-
-    def __init__(self, data: PairedSeries):
-        a, p = data.actual, data.predicted
-        self.a, self.p, self.n = a, p, len(a)
-        self.e = tuple(ai - pi for ai, pi in zip(a, p))
-        self.abs_e = tuple(abs(ei) for ei in self.e)
-        self.a_mean = fsum(a) / self.n
-        self.p_mean = fsum(p) / self.n
-        self.sse = fsum(ei * ei for ei in self.e)
-        self.sum_abs_e = fsum(self.abs_e)
-        self.s_aa = sum_sq_dev(a, self.a_mean)
-        self.abs_dev_a = sum_abs_dev(a, self.a_mean)
-        self.s_pp = sum_sq_dev(p, self.p_mean)
-        self.s_ap = fsum((ai - self.a_mean) * (pi - self.p_mean) for ai, pi in zip(a, p))
-        self.ordered = data.ordered
-
-
 def residuals(data: PairedSeries) -> tuple[float, ...]:
     """Signed residuals E_i = A_i - P_i, in input order."""
     return tuple(a - p for a, p in zip(data.actual, data.predicted))
 
 
-def _term_metric(metric_id, terms, bad, skip, reason, aggregate):
-    """Aggregate per-term values where individual terms may be undefined."""
-    if bad and not skip:
+class SeriesContext:
+    """A paired series and the statistics its metrics share.
+
+    Each statistic is computed on first use and kept, so a report pays only
+    for what its requested ids need and never computes one twice. Sums over
+    per-term ratios are kept instead of the terms themselves.
+    """
+
+    def __init__(self, data: PairedSeries, skip_undefined_terms: bool = False):
+        self.a, self.p, self.n = data.actual, data.predicted, len(data)
+        self.ordered = data.ordered
+        self.skip = skip_undefined_terms
+
+    @cached_property
+    def e(self) -> tuple[float, ...]:
+        return tuple(ai - pi for ai, pi in zip(self.a, self.p))
+
+    @cached_property
+    def abs_e(self) -> tuple[float, ...]:
+        return tuple(abs(ei) for ei in self.e)
+
+    @cached_property
+    def a_mean(self) -> float:
+        return fsum(self.a) / self.n
+
+    @cached_property
+    def p_mean(self) -> float:
+        return fsum(self.p) / self.n
+
+    @cached_property
+    def sse(self) -> float:
+        return fsum(ei * ei for ei in self.e)
+
+    @cached_property
+    def sum_abs_e(self) -> float:
+        return fsum(self.abs_e)
+
+    @cached_property
+    def s_aa(self) -> float:
+        return sum_sq_dev(self.a, self.a_mean)
+
+    @cached_property
+    def abs_dev_a(self) -> float:
+        return sum_abs_dev(self.a, self.a_mean)
+
+    @cached_property
+    def s_pp(self) -> float:
+        return sum_sq_dev(self.p, self.p_mean)
+
+    @cached_property
+    def s_ap(self) -> float:
+        a_mean, p_mean = self.a_mean, self.p_mean
+        return fsum((ai - a_mean) * (pi - p_mean) for ai, pi in zip(self.a, self.p))
+
+    @cached_property
+    def r(self) -> float:
+        """Pearson correlation clipped to [-1, 1]; needs s_aa and s_pp nonzero."""
+        return max(-1.0, min(1.0, self.s_ap / math.sqrt(self.s_aa * self.s_pp)))
+
+    @cached_property
+    def zero_actuals(self) -> int:
+        """Terms that an E_i / A_i ratio leaves undefined."""
+        return self.a.count(0.0)
+
+    def _ratios(self):
+        return (ei / ai for ei, ai in zip(self.e, self.a) if ai != 0)
+
+    @cached_property
+    def ratio_sum(self) -> float:
+        return fsum(self._ratios())
+
+    @cached_property
+    def abs_ratio_sum(self) -> float:
+        return fsum(abs(t) for t in self._ratios())
+
+    @cached_property
+    def sq_ratio_sum(self) -> float:
+        return fsum(t * t for t in self._ratios())
+
+    @cached_property
+    def geo_mean_abs(self) -> float:
+        # Log-domain product to dodge overflow/underflow; a single exact-zero
+        # residual pins the geometric mean at zero.
+        if any(v == 0.0 for v in self.abs_e):
+            return 0.0
+        return math.exp(fsum(math.log(v) for v in self.abs_e) / self.n)
+
+
+def _term_mean(ctx, metric_id, reason, bad, total, scale=lambda mean: mean):
+    """Mean of per-term values where ``bad`` terms are undefined.
+
+    Any undefined term makes the metric undefined unless the context skips
+    them; ``total`` returns the sum of the defined terms and runs only when
+    the mean is needed.
+    """
+    if bad and not ctx.skip:
         return MetricValue.undefined(metric_id, reason)
-    if not terms:
+    if bad == ctx.n:
         return MetricValue.undefined(metric_id, reason, dropped_terms=bad)
-    return MetricValue.defined(metric_id, aggregate(terms), dropped_terms=bad)
+    return MetricValue.defined(metric_id, scale(total() / (ctx.n - bad)),
+                               dropped_terms=bad)
 
 
-def _signed_ratio_terms(st):
-    terms, bad = [], 0
-    for ei, ai in zip(st.e, st.a):
-        if ai == 0:
-            bad += 1
-        else:
-            terms.append(ei / ai)
-    return terms, bad
+def _ratio_mean(metric_id, total, scale=lambda mean: mean):
+    return lambda c: _term_mean(c, metric_id, "zero_actual", c.zero_actuals,
+                                lambda: total(c), scale)
 
 
-def _abs_ratio_terms(st):
-    terms, bad = _signed_ratio_terms(st)
-    return [abs(t) for t in terms], bad
+def _percent(mean):
+    return 100.0 * mean
 
 
-def _sq_ratio_terms(st):
-    terms, bad = _signed_ratio_terms(st)
-    return [t * t for t in terms], bad
+def _mrae(c):
+    m = c.a_mean
+    devs = [abs(ai - m) for ai in c.a]
+    return _term_mean(c, "MRAE", "constant_actual", devs.count(0.0),
+                      lambda: fsum(ei / d for ei, d in zip(c.abs_e, devs) if d != 0))
 
 
-def _mean(terms):
-    return fsum(terms) / len(terms)
+def _fae(c):
+    denoms = [abs(ai) + abs(pi) for ai, pi in zip(c.a, c.p)]
+    return _term_mean(c, "FAE", "zero_pair", denoms.count(0.0),
+                      lambda: fsum(2.0 * ei / d for ei, d in zip(c.abs_e, denoms) if d != 0))
 
 
-def _me(st, skip):
-    return MetricValue.defined("ME", fsum(st.e) / st.n)
+def _unless_zero(metric_id, statistic, reason, finish):
+    """A metric that is undefined with ``reason`` when the named statistic is zero."""
+    def fn(c):
+        if getattr(c, statistic) == 0:
+            return MetricValue.undefined(metric_id, reason)
+        return MetricValue.defined(metric_id, finish(c))
+    return fn
 
 
-def _mnb(st, skip):
-    terms, bad = _signed_ratio_terms(st)
-    return _term_metric("MNB", terms, bad, skip, "zero_actual", _mean)
+def _over_variance(metric_id, finish):
+    # Two-pass n-1 variance of the actuals.
+    def fn(c):
+        if c.n < 2:
+            return MetricValue.undefined(metric_id, "too_short")
+        var = c.s_aa / (c.n - 1)
+        if var == 0:
+            return MetricValue.undefined(metric_id, "constant_actual")
+        return MetricValue.defined(metric_id, finish(c, var))
+    return fn
 
 
-def _mpe(st, skip):
-    inner = _mnb(st, skip)
-    if not inner.is_defined:
-        return MetricValue.undefined("MPE", inner.reason, inner.dropped_terms)
-    return MetricValue.defined("MPE", 100.0 * inner.value, inner.dropped_terms)
-
-
-def _mae(st, skip):
-    return MetricValue.defined("MAE", st.sum_abs_e / st.n)
-
-
-def _mare(st, skip):
-    terms, bad = _abs_ratio_terms(st)
-    return _term_metric("MARE", terms, bad, skip, "zero_actual", _mean)
-
-
-def _mape(st, skip):
-    inner = _mare(st, skip)
-    if not inner.is_defined:
-        return MetricValue.undefined("MAPE", inner.reason, inner.dropped_terms)
-    return MetricValue.defined("MAPE", 100.0 * inner.value, inner.dropped_terms)
-
-
-def _rae(st, skip):
-    if st.abs_dev_a == 0:
-        return MetricValue.undefined("RAE", "constant_actual")
-    return MetricValue.defined("RAE", st.sum_abs_e / st.abs_dev_a)
-
-
-def _mrae(st, skip):
-    terms, bad = [], 0
-    for ei, ai in zip(st.abs_e, st.a):
-        dev = abs(ai - st.a_mean)
-        if dev == 0:
-            bad += 1
-        else:
-            terms.append(ei / dev)
-    return _term_metric("MRAE", terms, bad, skip, "constant_actual", _mean)
-
-
-def _geo_mean_abs(st) -> float:
-    # Log-domain product to dodge overflow/underflow; a single exact-zero
-    # residual pins the geometric mean at zero.
-    if any(v == 0.0 for v in st.abs_e):
-        return 0.0
-    return math.exp(fsum(math.log(v) for v in st.abs_e) / st.n)
-
-
-def _gmae(st, skip):
-    return MetricValue.defined("GMAE", _geo_mean_abs(st))
-
-
-def _grmse(st, skip):
-    return MetricValue.defined("GRMSE", _geo_mean_abs(st))
-
-
-def _fae(st, skip):
-    terms, bad = [], 0
-    for ei, ai, pi in zip(st.abs_e, st.a, st.p):
-        denom = abs(ai) + abs(pi)
-        if denom == 0:
-            bad += 1
-        else:
-            terms.append(2.0 * ei / denom)
-    return _term_metric("FAE", terms, bad, skip, "zero_pair", _mean)
-
-
-def _mse(st, skip):
-    return MetricValue.defined("MSE", st.sse / st.n)
-
-
-def _rmse(st, skip):
-    return MetricValue.defined("RMSE", math.sqrt(st.sse / st.n))
-
-
-def _sse(st, skip):
-    return MetricValue.defined("SSE", st.sse)
-
-
-def _rse(st, skip):
-    if st.s_aa == 0:
-        return MetricValue.undefined("RSE", "constant_actual")
-    return MetricValue.defined("RSE", st.sse / st.s_aa)
-
-
-def _rrse(st, skip):
-    if st.s_aa == 0:
-        return MetricValue.undefined("RRSE", "constant_actual")
-    return MetricValue.defined("RRSE", math.sqrt(st.sse / st.s_aa))
-
-
-def _mspe(st, skip):
-    terms, bad = _sq_ratio_terms(st)
-    return _term_metric("MSPE", terms, bad, skip, "zero_actual",
-                        lambda t: 100.0 * _mean(t))
-
-
-def _rmspe(st, skip):
-    terms, bad = _sq_ratio_terms(st)
-    return _term_metric("RMSPE", terms, bad, skip, "zero_actual",
-                        lambda t: 100.0 * math.sqrt(_mean(t)))
-
-
-def _nrmse(st, skip):
-    if st.a_mean == 0:
-        return MetricValue.undefined("NRMSE", "zero_mean_actual")
-    return MetricValue.defined("NRMSE", math.sqrt(st.sse / st.n) / st.a_mean)
-
-
-def _sample_variance(st):
-    # Two-pass n-1 variance; None encodes the undefined reason for the caller.
-    if st.n < 2:
-        return None, "too_short"
-    var = st.s_aa / (st.n - 1)
-    if var == 0:
-        return None, "constant_actual"
-    return var, None
-
-
-def _nrmse_sd(st, skip):
-    var, reason = _sample_variance(st)
-    if reason:
-        return MetricValue.undefined("NRMSE_SD", reason)
-    return MetricValue.defined("NRMSE_SD", math.sqrt(st.sse / st.n) / math.sqrt(var))
-
-
-def _nmse(st, skip):
-    var, reason = _sample_variance(st)
-    if reason:
-        return MetricValue.undefined("NMSE", reason)
-    return MetricValue.defined("NMSE", (st.sse / st.n) / var)
-
-
-def _r2(st, skip):
-    if st.s_aa == 0:
-        return MetricValue.undefined("R2", "constant_actual")
-    return MetricValue.defined("R2", 1.0 - st.sse / st.s_aa)
-
-
-def _r(st, skip):
-    if st.s_aa == 0:
+def _r(c):
+    if c.s_aa == 0:
         return MetricValue.undefined("R", "constant_actual")
-    if st.s_pp == 0:
+    if c.s_pp == 0:
         return MetricValue.undefined("R", "constant_predicted")
-    r = st.s_ap / math.sqrt(st.s_aa * st.s_pp)
-    return MetricValue.defined("R", max(-1.0, min(1.0, r)))
+    return MetricValue.defined("R", c.r)
 
 
-def _mase(st, skip):
-    if not st.ordered:
+def _mase(c):
+    if not c.ordered:
         return MetricValue.undefined("MASE", "unordered_series")
-    if st.n < 2:
+    if c.n < 2:
         return MetricValue.undefined("MASE", "too_short")
-    naive = fsum(abs(st.a[i] - st.a[i - 1]) for i in range(1, st.n)) / (st.n - 1)
+    a = c.a
+    naive = fsum(abs(a[i] - a[i - 1]) for i in range(1, c.n)) / (c.n - 1)
     if naive == 0:
         return MetricValue.undefined("MASE", "zero_naive_error")
-    return MetricValue.defined("MASE", (st.sum_abs_e / st.n) / naive)
+    return MetricValue.defined("MASE", (c.sum_abs_e / c.n) / naive)
 
 
-_METRICS = {
-    "ME": _me, "MNB": _mnb, "MPE": _mpe, "MAE": _mae, "MAPE": _mape,
-    "RAE": _rae, "MARE": _mare, "MRAE": _mrae, "GMAE": _gmae, "FAE": _fae,
-    "MSE": _mse, "RMSE": _rmse, "SSE": _sse, "RSE": _rse, "RRSE": _rrse,
-    "GRMSE": _grmse, "MSPE": _mspe, "RMSPE": _rmspe, "NRMSE": _nrmse,
-    "NRMSE_SD": _nrmse_sd, "NMSE": _nmse, "R2": _r2, "R": _r, "MASE": _mase,
-}
+METRICS = {m.id: m for m in (
+    Metric("ME", lambda c: MetricValue.defined("ME", fsum(c.e) / c.n),
+           "ME = mean(E_i), E_i = A_i - P_i"),
+    Metric("MNB", _ratio_mean("MNB", lambda c: c.ratio_sum),
+           "MNB = mean(E_i / A_i)"),
+    Metric("MPE", _ratio_mean("MPE", lambda c: c.ratio_sum, _percent),
+           "MPE = 100 * mean(E_i / A_i)"),
+    Metric("MAE", lambda c: MetricValue.defined("MAE", c.sum_abs_e / c.n),
+           "MAE = mean(|E_i|)"),
+    Metric("MAPE", _ratio_mean("MAPE", lambda c: c.abs_ratio_sum, _percent),
+           "MAPE = 100 * mean(|E_i / A_i|)"),
+    Metric("RAE", _unless_zero("RAE", "abs_dev_a", "constant_actual",
+                               lambda c: c.sum_abs_e / c.abs_dev_a),
+           "RAE = sum(|E_i|) / sum(|A_i - mean(A)|)  [mean-of-actuals baseline]"),
+    Metric("MARE", _ratio_mean("MARE", lambda c: c.abs_ratio_sum),
+           "MARE = mean(|E_i / A_i|)"),
+    Metric("MRAE", _mrae,
+           "MRAE = mean(|E_i| / |A_i - mean(A)|)  [per-term mean-of-actuals baseline]"),
+    Metric("GMAE", lambda c: MetricValue.defined("GMAE", c.geo_mean_abs),
+           "GMAE = exp(mean(log|E_i|)); 0 when any E_i == 0"),
+    Metric("FAE", _fae, "FAE = mean(2|E_i| / (|A_i| + |P_i|))"),
+    Metric("MSE", lambda c: MetricValue.defined("MSE", c.sse / c.n),
+           "MSE = sum(E_i^2) / n"),
+    Metric("RMSE", lambda c: MetricValue.defined("RMSE", math.sqrt(c.sse / c.n)),
+           "RMSE = sqrt(MSE)"),
+    Metric("SSE", lambda c: MetricValue.defined("SSE", c.sse), "SSE = sum(E_i^2)"),
+    Metric("RSE", _unless_zero("RSE", "s_aa", "constant_actual",
+                               lambda c: c.sse / c.s_aa),
+           "RSE = sum(E_i^2) / sum((A_i - mean(A))^2)"),
+    Metric("RRSE", _unless_zero("RRSE", "s_aa", "constant_actual",
+                                lambda c: math.sqrt(c.sse / c.s_aa)),
+           "RRSE = sqrt(RSE)"),
+    Metric("GRMSE", lambda c: MetricValue.defined("GRMSE", c.geo_mean_abs),
+           "GRMSE = exp(mean(log|E_i|)); algebraically equal to GMAE"),
+    Metric("MSPE", _ratio_mean("MSPE", lambda c: c.sq_ratio_sum, _percent),
+           "MSPE = 100 * mean((E_i / A_i)^2)"),
+    Metric("RMSPE", _ratio_mean("RMSPE", lambda c: c.sq_ratio_sum,
+                                lambda mean: 100.0 * math.sqrt(mean)),
+           "RMSPE = 100 * sqrt(mean((E_i / A_i)^2))"),
+    Metric("NRMSE", _unless_zero("NRMSE", "a_mean", "zero_mean_actual",
+                                 lambda c: math.sqrt(c.sse / c.n) / c.a_mean),
+           "NRMSE = RMSE / mean(A)"),
+    Metric("NRMSE_SD", _over_variance("NRMSE_SD",
+                                      lambda c, var: math.sqrt(c.sse / c.n) / math.sqrt(var)),
+           "NRMSE_SD = RMSE / stdev(A)  [n-1 denominator]"),
+    Metric("NMSE", _over_variance("NMSE", lambda c, var: (c.sse / c.n) / var),
+           "NMSE = MSE / variance(A)  [n-1 denominator, single power]"),
+    Metric("R2", _unless_zero("R2", "s_aa", "constant_actual",
+                              lambda c: 1.0 - c.sse / c.s_aa),
+           "R2 = 1 - sum((P_i - A_i)^2) / sum((A_i - mean(A))^2)"),
+    Metric("R", _r, "R = Pearson correlation of A and P"),
+    Metric("MASE", _mase,
+           "MASE = MAE / mean(|A_i - A_{i-1}|, i=2..n)  [naive one-step scaling; "
+           "requires an ordered series]"),
+)}
 
-METRIC_IDS: tuple[str, ...] = tuple(_METRICS)
-
-
-def _validate_ids(ids) -> tuple[str, ...]:
-    requested = set(ids)
-    if not requested:
-        raise UsageError("at least one regression metric id is required")
-    unknown = sorted(requested - set(_METRICS))
-    if unknown:
-        raise UsageError(f"unknown regression metric id(s): {', '.join(unknown)}")
-    return tuple(i for i in METRIC_IDS if i in requested)
+METRIC_IDS: tuple[str, ...] = tuple(METRICS)
+FORMULA_NOTES = {i: m.note for i, m in METRICS.items()}
 
 
 def point_metric(metric_id: str, data: PairedSeries, *,
                  skip_undefined_terms: bool = False) -> MetricValue:
     """Evaluate one metric from the catalog on a paired series."""
-    fn = _METRICS.get(metric_id)
-    if fn is None:
+    metric = METRICS.get(metric_id)
+    if metric is None:
         raise UsageError(f"unknown regression metric id {metric_id!r}")
-    return fn(_SeriesStats(data), skip_undefined_terms)
+    return metric.fn(SeriesContext(data, skip_undefined_terms))
 
 
 def regression_report(data: PairedSeries, ids, *,
                       skip_undefined_terms: bool = False) -> RegressionReport:
-    """Evaluate a set of metric ids, computing shared statistics once.
+    """Evaluate a set of metric ids, computing each shared statistic at most once.
 
     Results are keyed by id and ordered by catalog order regardless of the
     order ids were supplied in.
     """
-    selected = _validate_ids(ids)
-    st = _SeriesStats(data)
-    metrics = {i: _METRICS[i](st, skip_undefined_terms) for i in selected}
-    return RegressionReport(metrics=metrics, n=st.n, a_mean=st.a_mean,
-                            formula_notes={i: FORMULA_NOTES[i] for i in selected})
+    selected = select_metrics(METRICS, ids, "regression")
+    ctx = SeriesContext(data, skip_undefined_terms)
+    return RegressionReport(metrics={m.id: m.fn(ctx) for m in selected}, n=ctx.n,
+                            a_mean=ctx.a_mean,
+                            formula_notes={m.id: m.note for m in selected})

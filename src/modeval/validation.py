@@ -16,10 +16,15 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
-from ._stats import sum_sq_dev
 from .dataset import MetricValue, PairedSeries
 from .errors import DefinednessError, UsageError
-from .regression import point_metric
+from .regression import METRICS, SeriesContext
+
+# Not called here: the centred sums and the RMSE/MAE/MAPE values come from one
+# shared SeriesContext per series. The names stay importable because
+# perfbench/tracing.py patches them to time these layers.
+from ._stats import sum_sq_dev  # noqa: F401
+from .regression import point_metric  # noqa: F401
 
 SLOPE_RANGE = (0.85, 1.15)
 INDEX_LIMIT = 0.1
@@ -97,20 +102,12 @@ class RiRanking:
     tied_columns: tuple[str, ...]
 
 
-def _squared_pearson(data: PairedSeries) -> float:
-    a, p = data.actual, data.predicted
-    n = len(a)
-    a_mean = fsum(a) / n
-    p_mean = fsum(p) / n
-    s_aa = sum_sq_dev(a, a_mean)
-    s_pp = sum_sq_dev(p, p_mean)
-    if s_aa == 0:
+def _squared_pearson(ctx: SeriesContext) -> float:
+    if ctx.s_aa == 0:
         raise DefinednessError("actual series is constant; correlation undefined")
-    if s_pp == 0:
+    if ctx.s_pp == 0:
         raise DefinednessError("predicted series is constant; correlation undefined")
-    s_ap = fsum((ai - a_mean) * (pi - p_mean) for ai, pi in zip(a, p))
-    r = max(-1.0, min(1.0, s_ap / math.sqrt(s_aa * s_pp)))
-    return r * r
+    return ctx.r * ctx.r
 
 
 def _origin_slopes(data: PairedSeries) -> tuple[float, float]:
@@ -133,13 +130,11 @@ def _ro2(values, slope, centered_ss) -> float:
 def _tropsha_parts(data: PairedSeries):
     if len(data) < 3:
         raise DefinednessError("slope criterion needs at least 3 observations")
-    r2 = _squared_pearson(data)
+    ctx = SeriesContext(data)
+    r2 = _squared_pearson(ctx)
     k, k_prime = _origin_slopes(data)
-    a, p = data.actual, data.predicted
-    p_mean = fsum(p) / len(p)
-    a_mean = fsum(a) / len(a)
-    ro2 = _ro2(p, k, sum_sq_dev(p, p_mean))
-    ro2_prime = _ro2(a, k_prime, sum_sq_dev(a, a_mean))
+    ro2 = _ro2(data.predicted, k, ctx.s_pp)
+    ro2_prime = _ro2(data.actual, k_prime, ctx.s_aa)
     return r2, k, k_prime, ro2, ro2_prime
 
 
@@ -193,9 +188,10 @@ def data_adequacy_ratio(observation_count: int, parameter_count: int) -> Adequac
 
 
 def _split_terms(series: PairedSeries):
-    rmse = point_metric("RMSE", series).value
-    mae = point_metric("MAE", series).value
-    r2 = _squared_pearson(series)
+    ctx = SeriesContext(series)
+    rmse = METRICS["RMSE"].fn(ctx).value
+    mae = METRICS["MAE"].fn(ctx).value
+    r2 = _squared_pearson(ctx)
     if r2 == 0:
         raise DefinednessError("squared correlation is zero; objective undefined")
     return rmse, mae, r2
@@ -254,9 +250,10 @@ def reference_index(models) -> RiRanking:
         raise UsageError("reference index needs at least 2 models")
     ids, triples = [], []
     for model_id, series in models:
+        ctx = SeriesContext(series)
         triple = []
         for metric_id in ("RMSE", "MAE", "MAPE"):
-            mv = point_metric(metric_id, series)
+            mv = METRICS[metric_id].fn(ctx)
             if not mv.is_defined:
                 raise DefinednessError(
                     f"model {model_id!r}: {metric_id} undefined ({mv.reason})")

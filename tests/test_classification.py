@@ -395,3 +395,27 @@ class TestVectorDistances:
         s = PairedSeries([-1, 2], [1, 2])
         assert "negative_inputs" in canberra(s).flags
         assert "negative_inputs" in wave_hedges(s).flags
+
+
+class TestThresholdReport:
+    def test_catalog_order_ids_and_weighted_note(self):
+        from modeval.classification import METRICS, ThresholdContext, threshold_report
+        from modeval.dataset import confusion_from_scores
+
+        data = ScoredBinarySet([True, True, False, False, True],
+                               [0.9, 0.3, 0.6, 0.1, 0.7])
+        ctx = ThresholdContext(data, confusion_from_scores(data, 0.5), 0.5, 0.7)
+        results = threshold_report(ctx, reversed(list(METRICS)))
+        assert [mv.id for mv, _ in results] == list(METRICS)
+        notes = {mv.id: note for mv, note in results}
+        assert notes["ACA"].endswith("[w = 0.7]")
+        assert ctx.indicator_series is ctx.indicator_series
+
+    def test_unknown_id(self):
+        from modeval.classification import ThresholdContext, threshold_report
+        from modeval.dataset import confusion_from_scores
+
+        data = ScoredBinarySet([True, False], [0.9, 0.1])
+        ctx = ThresholdContext(data, confusion_from_scores(data, 0.5), 0.5)
+        with pytest.raises(UsageError):
+            threshold_report(ctx, {"ACC", "BOGUS"})

@@ -337,3 +337,15 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert json.loads(result.stdout)["metrics"][0]["value"] == 0.75
+
+
+class TestOverflow:
+    def test_overflow_is_a_data_error_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,p\n1e200,0\n-1e200,0\n3e200,0\n")
+        code, out, err = run_cli(capsys, "regress", "--input", str(path),
+                                 "--actual-col", "a", "--predicted-col", "p",
+                                 "--metrics", "R2")
+        assert code == 2 and not out
+        assert err.startswith("modeval: error:") and "Traceback" not in err
+        assert err.count("\n") == 1

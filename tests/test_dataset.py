@@ -258,3 +258,11 @@ class TestMatrixTypes:
         assert m.row_totals() == (3, 7)
         assert m.col_totals() == (4, 6)
         assert m.diagonal_total() == 5
+
+
+class TestScoredBinarySetCache:
+    def test_flags_and_positive_count_are_computed_once(self):
+        data = ScoredBinarySet([True, False, True], [0.9, 0.2, 0.4])
+        assert data.flags is data.flags
+        assert data.flags == (True, False, True)
+        assert data.positive_count == 2 and data.negative_count == 1

@@ -276,3 +276,33 @@ class TestScaleBehaviour:
         over = PairedSeries([1, 3, 5], [2, 4, 6])
         assert point_metric("ME", under).value > 0
         assert point_metric("ME", over).value < 0
+
+
+class TestSharedStatistics:
+    def test_unused_statistic_cannot_overflow(self):
+        # s_aa overflows on these actuals, but MAE never needs it
+        series = PairedSeries([1e200, -1e200, 3e200], [0, 0, 0])
+        mae = regression_report(series, {"MAE"}).metrics["MAE"]
+        assert mae.is_defined and mae.value == pytest.approx(5e200 / 3, rel=1e-12)
+
+    def test_centred_sums_computed_only_when_needed(self, monkeypatch):
+        import modeval.regression as regression
+
+        calls = []
+
+        def counting(values, center):
+            calls.append(center)
+            return sum_sq_dev(values, center)
+
+        sum_sq_dev = regression.sum_sq_dev
+        monkeypatch.setattr(regression, "sum_sq_dev", counting)
+        series = random_series(random.Random(7), n=40)
+        regression_report(series, {"MAE", "RMSE", "MAPE"})
+        assert calls == []
+        regression_report(series, METRIC_IDS)
+        assert len(calls) <= 2
+
+    def test_registry_ids_match_values(self, f1):
+        report = regression_report(f1, METRIC_IDS)
+        assert list(report.metrics) == list(METRIC_IDS)
+        assert all(mv.id == metric_id for metric_id, mv in report.metrics.items())
