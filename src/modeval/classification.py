@@ -327,6 +327,12 @@ class ThresholdContext:
         return ConfusionMatrixK((NEGATIVE, POSITIVE), ((m.tn, m.fp), (m.fn, m.tp)))
 
     @cached_property
+    def cross_entropy(self) -> MetricValue:
+        # Log loss on the two-column matrix [1 - s, s] sums exactly these
+        # terms, so LOG_LOSS shares MXE's value without building the matrix.
+        return mean_cross_entropy(self.data)
+
+    @cached_property
     def indicator_series(self) -> PairedSeries:
         """(1/0 label indicator, score) pairs for the vector distances."""
         return PairedSeries([1.0 if f else 0.0 for f in self.data.flags],
@@ -366,10 +372,10 @@ METRICS = {m.id: m for m in (
     Metric("KAPPA", lambda c: cohen_kappa(c.kmatrix), "kappa = (p_o - p_e) / (1 - p_e)"),
     Metric("HAMMING", lambda c: hamming_loss(c.data.labels, c.predicted_labels()),
            "HAMMING = fraction of positions where actual != predicted"),
-    Metric("LOG_LOSS", lambda c: log_loss(probability_matrix_from_scores(c.data)),
+    Metric("LOG_LOSS", lambda c: MetricValue.defined("LOG_LOSS", c.cross_entropy.value),
            "LOG_LOSS = -mean(log p[true class]); log arguments floored at 1e-15"),
     Metric("BRIER", lambda c: brier_score(c.data), "BRIER = mean((s_i - y_i)^2), y in {0,1}"),
-    Metric("MXE", lambda c: mean_cross_entropy(c.data),
+    Metric("MXE", lambda c: c.cross_entropy,
            "MXE = -mean(y*log(s) + (1-y)*log(1-s)); log arguments floored at 1e-15"),
     Metric("HINGE", lambda c: hinge_loss(c.data), "HINGE = mean(max(0, 1 - q*y)), q = +/-1"),
     Metric("CM", lambda c: canberra(c.indicator_series),

@@ -137,8 +137,8 @@ def _cmd_classify(args, inputs: _Inputs) -> list:
 def _write_points(path: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,x,y\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for threshold, x, y in rows:
+            fh.write(f"{threshold!r},{x!r},{y!r}\n")
 
 
 def _cmd_curves(args, inputs: _Inputs) -> list:

@@ -155,8 +155,9 @@ def _term_mean(ctx, metric_id, reason, bad, total, scale=lambda mean: mean):
 
 
 def _ratio_mean(metric_id, total, scale=lambda mean: mean):
+    """Mean over the E_i / A_i terms, from the named context sum of those terms."""
     return lambda c: _term_mean(c, metric_id, "zero_actual", c.zero_actuals,
-                                lambda: total(c), scale)
+                                lambda: getattr(c, total), scale)
 
 
 def _percent(mean):
@@ -220,18 +221,18 @@ def _mase(c):
 METRICS = {m.id: m for m in (
     Metric("ME", lambda c: MetricValue.defined("ME", fsum(c.e) / c.n),
            "ME = mean(E_i), E_i = A_i - P_i"),
-    Metric("MNB", _ratio_mean("MNB", lambda c: c.ratio_sum),
+    Metric("MNB", _ratio_mean("MNB", "ratio_sum"),
            "MNB = mean(E_i / A_i)"),
-    Metric("MPE", _ratio_mean("MPE", lambda c: c.ratio_sum, _percent),
+    Metric("MPE", _ratio_mean("MPE", "ratio_sum", _percent),
            "MPE = 100 * mean(E_i / A_i)"),
     Metric("MAE", lambda c: MetricValue.defined("MAE", c.sum_abs_e / c.n),
            "MAE = mean(|E_i|)"),
-    Metric("MAPE", _ratio_mean("MAPE", lambda c: c.abs_ratio_sum, _percent),
+    Metric("MAPE", _ratio_mean("MAPE", "abs_ratio_sum", _percent),
            "MAPE = 100 * mean(|E_i / A_i|)"),
     Metric("RAE", _unless_zero("RAE", "abs_dev_a", "constant_actual",
                                lambda c: c.sum_abs_e / c.abs_dev_a),
            "RAE = sum(|E_i|) / sum(|A_i - mean(A)|)  [mean-of-actuals baseline]"),
-    Metric("MARE", _ratio_mean("MARE", lambda c: c.abs_ratio_sum),
+    Metric("MARE", _ratio_mean("MARE", "abs_ratio_sum"),
            "MARE = mean(|E_i / A_i|)"),
     Metric("MRAE", _mrae,
            "MRAE = mean(|E_i| / |A_i - mean(A)|)  [per-term mean-of-actuals baseline]"),
@@ -251,9 +252,9 @@ METRICS = {m.id: m for m in (
            "RRSE = sqrt(RSE)"),
     Metric("GRMSE", lambda c: MetricValue.defined("GRMSE", c.geo_mean_abs),
            "GRMSE = exp(mean(log|E_i|)); algebraically equal to GMAE"),
-    Metric("MSPE", _ratio_mean("MSPE", lambda c: c.sq_ratio_sum, _percent),
+    Metric("MSPE", _ratio_mean("MSPE", "sq_ratio_sum", _percent),
            "MSPE = 100 * mean((E_i / A_i)^2)"),
-    Metric("RMSPE", _ratio_mean("RMSPE", lambda c: c.sq_ratio_sum,
+    Metric("RMSPE", _ratio_mean("RMSPE", "sq_ratio_sum",
                                 lambda mean: 100.0 * math.sqrt(mean)),
            "RMSPE = 100 * sqrt(mean((E_i / A_i)^2))"),
     Metric("NRMSE", _unless_zero("NRMSE", "a_mean", "zero_mean_actual",
