@@ -60,13 +60,13 @@ class SeriesContext:
     """
 
     def __init__(self, data: PairedSeries, skip_undefined_terms: bool = False):
+        self.data = data
         self.a, self.p, self.n = data.actual, data.predicted, len(data)
-        self.ordered = data.ordered
         self.skip = skip_undefined_terms
 
     @cached_property
     def e(self) -> tuple[float, ...]:
-        return tuple(ai - pi for ai, pi in zip(self.a, self.p))
+        return residuals(self.data)
 
     @cached_property
     def abs_e(self) -> tuple[float, ...]:
@@ -207,7 +207,7 @@ def _r(c):
 
 
 def _mase(c):
-    if not c.ordered:
+    if not c.data.ordered:
         return MetricValue.undefined("MASE", "unordered_series")
     if c.n < 2:
         return MetricValue.undefined("MASE", "too_short")

@@ -1,4 +1,4 @@
-"""The ten golden CLI invocations used by the determinism checks."""
+"""Golden CLI invocations: the ten determinism runs and the extra snapshot runs."""
 
 from pathlib import Path
 
