@@ -150,7 +150,7 @@ def _cmd_curves(args, inputs: _Inputs) -> list:
         points = [(p.threshold, p.fpr, p.tpr) for p in curve.points]
     else:
         curve = curves.pr_curve(data)
-        entries = [_entry(curves.average_precision(data), notes["AP"]),
+        entries = [_entry(curves.curve_average_precision(curve), notes["AP"]),
                    _entry(curves.break_even_point(curve), notes["BREAK_EVEN"])]
         points = [(p.threshold, p.recall, p.precision) for p in curve.points]
     if args.lift_fraction is not None:

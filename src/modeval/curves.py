@@ -123,7 +123,12 @@ def pr_curve(data: ScoredBinarySet) -> PrCurve:
 
 def average_precision(data: ScoredBinarySet) -> MetricValue:
     """Precision weighted by recall increments over the PR sweep."""
-    pts = pr_curve(data).points
+    return curve_average_precision(pr_curve(data))
+
+
+def curve_average_precision(curve: PrCurve) -> MetricValue:
+    """AP of an already swept PR curve, so a caller holding one sorts once."""
+    pts = curve.points
     previous_recall = 0.0
     terms = []
     for pt in pts:

@@ -16,6 +16,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import eq, itemgetter
 
 from .errors import DataError, EmptyInputError, SchemaError, UsageError
 
@@ -95,12 +97,17 @@ def select_metrics(table: dict, ids, family: str) -> list[Metric]:
 
 
 def _check_finite(values, name):
+    if all(map(math.isfinite, values)):
+        return
     for i, v in enumerate(values):
         if not math.isfinite(v):
             raise DataError(f"{name}[{i}] is not finite: {v!r}")
 
 
 def _check_probabilities(scores):
+    # a ScoredBinarySet's scores: non-empty and finite, so min and max see every value
+    if 0.0 <= min(scores) and max(scores) <= 1.0:
+        return
     for i, s in enumerate(scores):
         if not 0.0 <= s <= 1.0:
             raise DataError(f"scores[{i}] = {s!r} outside [0, 1]")
@@ -119,8 +126,8 @@ class PairedSeries:
     ordered: bool = False
 
     def __post_init__(self):
-        actual = tuple(float(a) for a in self.actual)
-        predicted = tuple(float(p) for p in self.predicted)
+        actual = tuple(map(float, self.actual))
+        predicted = tuple(map(float, self.predicted))
         object.__setattr__(self, "actual", actual)
         object.__setattr__(self, "predicted", predicted)
         if len(actual) != len(predicted):
@@ -158,8 +165,11 @@ class ScoredBinarySet:
     scores: tuple[float, ...]
 
     def __post_init__(self):
-        labels = tuple(_coerce_label(l) for l in self.labels)
-        scores = tuple(float(s) for s in self.scores)
+        labels = tuple(self.labels)
+        # count compares by ==, as _coerce_label does, and needs no hashable labels
+        if labels.count(POSITIVE) + labels.count(NEGATIVE) != len(labels):
+            labels = tuple(map(_coerce_label, labels))
+        scores = tuple(map(float, self.scores))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scores", scores)
         if len(labels) != len(scores):
@@ -174,7 +184,7 @@ class ScoredBinarySet:
     @cached_property
     def flags(self) -> tuple[bool, ...]:
         """Labels as booleans, True for the positive class."""
-        return tuple(l == POSITIVE for l in self.labels)
+        return tuple(map(eq, self.labels, repeat(POSITIVE)))
 
     @cached_property
     def positive_count(self) -> int:
@@ -273,10 +283,15 @@ def _decode(source) -> str:
 
 
 def _csv_rows(text):
-    rows = [row for row in csv.reader(text.splitlines()) if row]
-    if not rows:
+    """The header and a lazy iterator over the non-blank rows after it."""
+    rows = filter(None, csv.reader(text.splitlines()))
+    try:
+        header = next(rows, None)
+    except csv.Error as exc:
+        raise DataError(f"header row: {exc}") from None
+    if header is None:
         raise EmptyInputError("CSV has no header row")
-    return rows[0], rows[1:]
+    return header, rows
 
 
 def _column_index(header, name):
@@ -306,25 +321,39 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
                     warnings: list | None = None) -> PairedSeries:
     """Parse a header-bearing CSV into a PairedSeries, keeping file order.
 
-    With ``drop_bad_rows`` an unparseable or non-finite cell discards the
-    offending row instead of raising; the count of dropped rows is appended to
-    ``warnings`` when a list is supplied.
+    Rows are read one at a time and only the two named cells are kept. With
+    ``drop_bad_rows`` an unparseable or non-finite cell discards the
+    offending row instead of raising; the count of dropped rows is appended
+    to ``warnings`` when a list is supplied. A row the csv module cannot
+    read (a field over its size limit) is a DataError either way.
     """
     header, rows = _csv_rows(_decode(source))
     ai = _column_index(header, actual_column)
     pi = _column_index(header, predicted_column)
-    actual, predicted, dropped = [], [], 0
-    for number, row in enumerate(rows, start=1):
-        try:
-            a = _parse_cell(row, number, ai, actual_column)
-            p = _parse_cell(row, number, pi, predicted_column)
-        except DataError:
-            if not drop_bad_rows:
-                raise
-            dropped += 1
-            continue
-        actual.append(a)
-        predicted.append(p)
+    cells = itemgetter(ai, pi)
+    isfinite = math.isfinite
+    actual, predicted, dropped, number = [], [], 0, 0
+    try:
+        for number, row in enumerate(rows, start=1):
+            try:
+                a_cell, p_cell = cells(row)
+                a, p = float(a_cell), float(p_cell)
+                if isfinite(a) and isfinite(p):
+                    actual.append(a)
+                    predicted.append(p)
+                    continue
+            except (IndexError, ValueError):
+                pass
+            # a bad row: the per-cell checks raise the message for its first bad cell
+            try:
+                _parse_cell(row, number, ai, actual_column)
+                _parse_cell(row, number, pi, predicted_column)
+            except DataError:
+                if not drop_bad_rows:
+                    raise
+                dropped += 1
+    except csv.Error as exc:
+        raise DataError(f"row {number + 1}: {exc}") from None
     if dropped and warnings is not None:
         warnings.append(f"dropped {dropped} row(s) with unusable cells")
     if not actual:
@@ -337,30 +366,40 @@ def load_scored_csv(source, label_column: str, score_column: str,
                     warnings: list | None = None) -> ScoredBinarySet:
     """Parse a header-bearing CSV into a ScoredBinarySet.
 
-    The label column must hold at most two distinct strings; with two, one of
-    them must equal ``positive_label``. A file whose only label differs from
+    Rows stream as in ``load_paired_csv``. The label column must hold at
+    most two distinct strings; with two, one of them must equal
+    ``positive_label``. A file whose only label differs from
     ``positive_label`` loads as all-negative with a warning, so degenerate
     single-class data can still be scored.
     """
     header, rows = _csv_rows(_decode(source))
     li = _column_index(header, label_column)
     si = _column_index(header, score_column)
-    raw_labels, scores, dropped = [], [], 0
-    for number, row in enumerate(rows, start=1):
-        try:
+    cells = itemgetter(li, si)
+    isfinite = math.isfinite
+    raw_labels, scores, dropped, number = [], [], 0, 0
+    try:
+        for number, row in enumerate(rows, start=1):
             try:
-                label = row[li]
-            except IndexError:
-                raise DataError(
-                    f"row {number}: missing value in column {label_column!r}") from None
-            score = _parse_cell(row, number, si, score_column)
-        except DataError:
-            if not drop_bad_rows:
-                raise
-            dropped += 1
-            continue
-        raw_labels.append(label)
-        scores.append(score)
+                label, cell = cells(row)
+                score = float(cell)
+                if isfinite(score):
+                    raw_labels.append(label)
+                    scores.append(score)
+                    continue
+            except (IndexError, ValueError):
+                pass
+            # a bad row: the per-cell checks raise the message for its first bad cell
+            try:
+                if li >= len(row):
+                    raise DataError(f"row {number}: missing value in column {label_column!r}")
+                _parse_cell(row, number, si, score_column)
+            except DataError:
+                if not drop_bad_rows:
+                    raise
+                dropped += 1
+    except csv.Error as exc:
+        raise DataError(f"row {number + 1}: {exc}") from None
     if dropped and warnings is not None:
         warnings.append(f"dropped {dropped} row(s) with unusable cells")
     if not raw_labels:

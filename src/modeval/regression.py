@@ -27,6 +27,7 @@ the defined subset and records how many terms were dropped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
@@ -108,7 +109,12 @@ class SeriesContext:
     @cached_property
     def r(self) -> float:
         """Pearson correlation clipped to [-1, 1]; needs s_aa and s_pp nonzero."""
-        return max(-1.0, min(1.0, self.s_ap / math.sqrt(self.s_aa * self.s_pp)))
+        product = self.s_aa * self.s_pp
+        if sys.float_info.min <= product < math.inf:
+            scale = math.sqrt(product)
+        else:  # the product left the normal range: take each root on its own
+            scale = math.sqrt(self.s_aa) * math.sqrt(self.s_pp)
+        return max(-1.0, min(1.0, self.s_ap / scale))
 
     @cached_property
     def zero_actuals(self) -> int:

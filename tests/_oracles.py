@@ -4,7 +4,11 @@ Everything here is deliberately naive (pair enumeration, Fraction
 arithmetic) and shares no code with the implementations under test.
 """
 
+import csv
+import math
 from fractions import Fraction
+
+from modeval.errors import DataError, EmptyInputError, SchemaError
 
 
 def pairwise_auc(flags, scores) -> float:
@@ -24,3 +28,101 @@ def pairwise_auc(flags, scores) -> float:
 def exact_mean(values) -> Fraction:
     values = [Fraction(v) for v in values]
     return sum(values, Fraction(0)) / len(values)
+
+
+# Reference CSV loaders: the list-based loops the streaming loaders replaced.
+# They return plain lists and raise the loaders' error types and messages.
+
+def _reference_rows(text):
+    rows = [row for row in csv.reader(text.splitlines()) if row]
+    if not rows:
+        raise EmptyInputError("CSV has no header row")
+    return rows[0], rows[1:]
+
+
+def _reference_column(header, name):
+    try:
+        return header.index(name)
+    except ValueError:
+        raise SchemaError(f"column {name!r} not found in header {header}") from None
+
+
+def _reference_cell(row, row_number, index, column) -> float:
+    try:
+        cell = row[index]
+    except IndexError:
+        raise DataError(f"row {row_number}: missing value in column {column!r}") from None
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(
+            f"row {row_number}, column {column!r}: cannot parse {cell!r} as a number") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row_number}, column {column!r}: non-finite value {cell!r}")
+    return value
+
+
+def reference_paired_csv(text, actual_column, predicted_column, *,
+                         drop_bad_rows=False, warnings=None):
+    """(actual, predicted) lists as the list-based loader read them."""
+    header, rows = _reference_rows(text)
+    ai = _reference_column(header, actual_column)
+    pi = _reference_column(header, predicted_column)
+    actual, predicted, dropped = [], [], 0
+    for number, row in enumerate(rows, start=1):
+        try:
+            a = _reference_cell(row, number, ai, actual_column)
+            p = _reference_cell(row, number, pi, predicted_column)
+        except DataError:
+            if not drop_bad_rows:
+                raise
+            dropped += 1
+            continue
+        actual.append(a)
+        predicted.append(p)
+    if dropped and warnings is not None:
+        warnings.append(f"dropped {dropped} row(s) with unusable cells")
+    if not actual:
+        raise EmptyInputError("no usable data rows")
+    return actual, predicted
+
+
+def reference_scored_csv(text, label_column, score_column, positive_label, *,
+                         drop_bad_rows=False, warnings=None):
+    """(flags, scores) lists as the list-based loader read them."""
+    header, rows = _reference_rows(text)
+    li = _reference_column(header, label_column)
+    si = _reference_column(header, score_column)
+    raw_labels, scores, dropped = [], [], 0
+    for number, row in enumerate(rows, start=1):
+        try:
+            try:
+                label = row[li]
+            except IndexError:
+                raise DataError(
+                    f"row {number}: missing value in column {label_column!r}") from None
+            score = _reference_cell(row, number, si, score_column)
+        except DataError:
+            if not drop_bad_rows:
+                raise
+            dropped += 1
+            continue
+        raw_labels.append(label)
+        scores.append(score)
+    if dropped and warnings is not None:
+        warnings.append(f"dropped {dropped} row(s) with unusable cells")
+    if not raw_labels:
+        raise EmptyInputError("no usable data rows")
+    distinct = sorted(set(raw_labels))
+    if len(distinct) > 2:
+        raise SchemaError(
+            f"label column {label_column!r} has {len(distinct)} distinct values "
+            f"{distinct}; at most two expected")
+    if len(distinct) == 2 and positive_label not in distinct:
+        raise SchemaError(
+            f"positive label {positive_label!r} not among labels {distinct}")
+    if len(distinct) == 1 and distinct[0] != positive_label and warnings is not None:
+        warnings.append(
+            f"single label {distinct[0]!r} differs from positive label "
+            f"{positive_label!r}; all rows treated as negative")
+    return [label == positive_label for label in raw_labels], scores

@@ -248,6 +248,23 @@ class TestCurves:
         assert code == 0
         assert metric_map(doc)["CAL"]["value"] == 0.0
 
+    def test_pr_sorts_once(self, capsys, monkeypatch):
+        import modeval.curves as curves
+
+        calls = []
+        pr_curve = curves.pr_curve
+
+        def counting(data):
+            calls.append(data)
+            return pr_curve(data)
+
+        monkeypatch.setattr(curves, "pr_curve", counting)
+        code, doc = run_json(capsys, "curves", "--kind", "pr", "--input",
+                             str(FIXTURES / "s1.csv"), "--label-col", "label",
+                             "--score-col", "score", "--positive", "pos")
+        assert code == 0 and len(calls) == 1
+        assert metric_map(doc)["AP"]["value"] == pytest.approx(11 / 12, rel=1e-12)
+
     def test_missing_kind_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "curves", "--input",
                              str(FIXTURES / "s1.csv"), "--label-col", "label",
@@ -349,3 +366,13 @@ class TestOverflow:
         assert code == 2 and not out
         assert err.startswith("modeval: error:") and "Traceback" not in err
         assert err.count("\n") == 1
+
+
+class TestCsvReaderError:
+    def test_oversized_field_is_a_data_error_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text('a,p\n1,2\n\n"' + "9" * 131_073 + '",3\n')
+        code, out, err = run_cli(capsys, "regress", "--input", str(path),
+                                 "--actual-col", "a", "--predicted-col", "p")
+        assert code == 2 and not out
+        assert err.startswith("modeval: error: row 2: ") and "Traceback" not in err

@@ -271,6 +271,15 @@ class TestScaleBehaviour:
                                    [-a * p + b for p in series.predicted])
             assert point_metric("R", flipped).value == pytest.approx(-base, rel=1e-9)
 
+    @pytest.mark.parametrize("actual, predicted, scale", [
+        ([0, 1e-90, 2e-90], [0, 3e-90, 1e-90], 1e90),          # s_aa * s_pp underflows
+        ([1e100, 2e100, 3e100], [1.1e100, 2e100, 2.9e100], 1e-100),  # and overflows
+    ])
+    def test_r_survives_extreme_scales(self, actual, predicted, scale):
+        extreme = point_metric("R", PairedSeries(actual, predicted)).value
+        rescaled = PairedSeries([scale * a for a in actual], [scale * p for p in predicted])
+        assert extreme == pytest.approx(point_metric("R", rescaled).value, abs=1e-12)
+
     def test_mean_error_sign_tracks_underestimation(self):
         under = PairedSeries([2, 4, 6], [1, 3, 5])   # actual above predicted
         over = PairedSeries([1, 3, 5], [2, 4, 6])
