@@ -369,10 +369,17 @@ class TestOverflow:
 
 
 class TestCsvReaderError:
-    def test_oversized_field_is_a_data_error_without_traceback(self, capsys, tmp_path):
+    LONG = '"' + "9" * 131_073 + '"'  # one past the csv module's field size limit
+
+    @pytest.mark.parametrize("text, where", [
+        ("a,p\n1,2\n\n" + LONG + ",3\n", "row 2"),
+        ("a," + LONG + "\n1,2\n", "header row"),
+    ])
+    def test_oversized_field_is_a_data_error_without_traceback(self, capsys, tmp_path,
+                                                                text, where):
         path = tmp_path / "long.csv"
-        path.write_text('a,p\n1,2\n\n"' + "9" * 131_073 + '",3\n')
+        path.write_text(text)
         code, out, err = run_cli(capsys, "regress", "--input", str(path),
                                  "--actual-col", "a", "--predicted-col", "p")
         assert code == 2 and not out
-        assert err.startswith("modeval: error: row 2: ") and "Traceback" not in err
+        assert err.startswith(f"modeval: error: {where}: ") and "Traceback" not in err
