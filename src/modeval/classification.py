@@ -290,8 +290,7 @@ def probability_matrix_from_scores(data: ScoredBinarySet) -> ProbabilityMatrix:
     """Two-column probability matrix [1-s, s] with the positive class as column 1."""
     _check_probabilities(data.scores)
     rows = tuple((1.0 - s, s) for s in data.scores)
-    true_class = tuple(1 if l == POSITIVE else 0 for l in data.labels)
-    return ProbabilityMatrix(rows, true_class)
+    return ProbabilityMatrix(rows, data.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +301,14 @@ class ThresholdContext:
     """A scored set, its confusion matrix at a threshold, and what metrics share.
 
     Each shared quantity is computed on first use and kept. ``matrix`` must be
-    ``confusion_from_scores(data, threshold)``; callers that also report the
-    counts build it once and pass it in.
+    ``confusion_from_scores(data, threshold)``, the one place the cut is made;
+    callers that also report the counts build it once and pass it in.
     """
 
     def __init__(self, data: ScoredBinarySet, matrix: ConfusionMatrix2,
-                 threshold: float, aca_weight: float = 0.5):
+                 aca_weight: float = 0.5):
         self.data = data
         self.matrix = matrix
-        self.threshold = threshold
         self.aca_weight = aca_weight
 
     @cached_property
@@ -337,9 +335,6 @@ class ThresholdContext:
         """(1/0 label indicator, score) pairs for the vector distances."""
         return PairedSeries([1.0 if f else 0.0 for f in self.data.flags],
                             self.data.scores)
-
-    def predicted_labels(self):
-        return (POSITIVE if s >= self.threshold else NEGATIVE for s in self.data.scores)
 
 
 _F_BETA_NOTE = "F_beta = (1 + b^2)*TP / ((1 + b^2)*TP + b^2*FN + FP)"
@@ -370,7 +365,7 @@ METRICS = {m.id: m for m in (
     Metric("BACC", lambda c: balanced_accuracy(c.kmatrix),
            "BACC = mean of per-class recall (empty classes excluded)"),
     Metric("KAPPA", lambda c: cohen_kappa(c.kmatrix), "kappa = (p_o - p_e) / (1 - p_e)"),
-    Metric("HAMMING", lambda c: hamming_loss(c.data.labels, c.predicted_labels()),
+    Metric("HAMMING", lambda c: _rate("HAMMING", c.matrix.fp + c.matrix.fn, c.matrix.total),
            "HAMMING = fraction of positions where actual != predicted"),
     Metric("LOG_LOSS", lambda c: MetricValue.defined("LOG_LOSS", c.cross_entropy.value),
            "LOG_LOSS = -mean(log p[true class]); log arguments floored at 1e-15"),

@@ -127,17 +127,18 @@ def _cmd_classify(args, inputs: _Inputs) -> list:
     data = inputs.scored(args, drop_bad_rows=args.drop_bad_rows)
     ids = _metric_ids(args.metrics, classification.METRICS)
     matrix = confusion_from_scores(data, args.threshold)
-    ctx = classification.ThresholdContext(data, matrix, args.threshold, args.aca_weight)
+    ctx = classification.ThresholdContext(data, matrix, args.aca_weight)
     counts = [_plain_entry(name, getattr(matrix, name.lower()))
               for name in ("TP", "FP", "FN", "TN")]
     return counts + [_entry(mv, note)
                      for mv, note in classification.threshold_report(ctx, ids)]
 
 
-def _write_points(path: str, rows) -> None:
+def _write_points(path: str, curve) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,x,y\n")
-        for threshold, x, y in rows:
+        # RocPoint and PrPoint are both laid out as (x, y, threshold)
+        for x, y, threshold in curve.points:
             fh.write(f"{threshold!r},{x!r},{y!r}\n")
 
 
@@ -147,12 +148,10 @@ def _cmd_curves(args, inputs: _Inputs) -> list:
     if args.kind == "roc":
         curve = curves.roc_curve(data)
         entries = [_entry(curves.auc(curve), notes["AUC"])]
-        points = [(p.threshold, p.fpr, p.tpr) for p in curve.points]
     else:
         curve = curves.pr_curve(data)
         entries = [_entry(curves.curve_average_precision(curve), notes["AP"]),
                    _entry(curves.break_even_point(curve), notes["BREAK_EVEN"])]
-        points = [(p.threshold, p.recall, p.precision) for p in curve.points]
     if args.lift_fraction is not None:
         entries.append(_entry(curves.lift(data, args.lift_fraction),
                               notes["LIFT"] + f" [fraction = {args.lift_fraction:g}]"))
@@ -161,7 +160,7 @@ def _cmd_curves(args, inputs: _Inputs) -> list:
         entries.append(_plain_entry(
             "CAL", report.cal, notes["CAL"] + f" [{len(report.window_errors)} windows]"))
     if args.emit_points:
-        _write_points(args.emit_points, points)
+        _write_points(args.emit_points, curve)
     return entries
 
 
@@ -186,10 +185,9 @@ def _cmd_validate(args, inputs: _Inputs) -> list:
                 entries.append(_entry(MetricValue.undefined(entry_id, "zero_denominator"), ""))
             else:
                 entries.append(_plain_entry(entry_id, value))
-        return entries + [_plain_entry("PASS_K", rep.pass_k, "0.85 <= k or k' <= 1.15"),
-                          _plain_entry("PASS_M", rep.pass_m, "|m| < 0.1"),
-                          _plain_entry("PASS_N", rep.pass_n, "|n| < 0.1"),
-                          _plain_entry("OVERALL_PASS", rep.overall_pass)]
+        entries += [_plain_entry(flag, getattr(rep, flag.lower()), note[flag])
+                    for flag in ("PASS_K", "PASS_M", "PASS_N")]
+        return entries + [_plain_entry("OVERALL_PASS", rep.overall_pass)]
     if args.check == "rm":
         rep = validation.roy_rm(inputs.paired(args.input, args))
         return [_plain_entry("RM", rep.rm, note["RM"]),

@@ -6,7 +6,7 @@ threads; all operations are pure functions of their inputs. Non-finite values
 contracts stay testable instead of silently propagating NaN.
 
 CSV dialect: comma separator, first row is a header, ``.`` decimal point,
-optional CRLF line endings.
+optional CRLF line endings, optional UTF-8 byte order mark.
 """
 
 from __future__ import annotations
@@ -213,14 +213,6 @@ class ConfusionMatrix2:
             raise DataError("a confusion matrix needs at least one observation")
 
     @property
-    def real_positives(self) -> int:
-        return self.tp + self.fn
-
-    @property
-    def real_negatives(self) -> int:
-        return self.fp + self.tn
-
-    @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
@@ -275,10 +267,11 @@ class ConfusionMatrixK:
 
 def _decode(source) -> str:
     data = source.read() if hasattr(source, "read") else source
+    # a leading byte order mark is not part of the header's first name
     if isinstance(data, (bytes, bytearray)):
-        return bytes(data).decode("utf-8")
+        return bytes(data).decode("utf-8-sig")
     if isinstance(data, str):
-        return data
+        return data.removeprefix("\ufeff")
     raise UsageError("CSV source must be bytes, text, or a file-like object")
 
 

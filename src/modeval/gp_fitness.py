@@ -106,7 +106,7 @@ def ffc(data: ClassOutputs) -> MetricValue:
     """Correlation-ratio fitness plus a bonus for correctly signed class means."""
     pooled = data.minority + data.majority
     pooled_mean = fsum(pooled) / len(pooled)
-    total = fsum((p - pooled_mean) ** 2 for p in pooled)
+    total = sum_sq_dev(pooled, pooled_mean)
     if total == 0:
         return MetricValue.undefined("FFC", "zero_denominator")
     between = (len(data.minority) * (data.minority_mean - pooled_mean) ** 2

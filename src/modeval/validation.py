@@ -36,9 +36,12 @@ FORMULA_NOTES = {
                "Ro2 = 1 - sum((P - k*P)^2)/sum((P - mean(P))^2); "
                "Ro2' = 1 - sum((A - k'*A)^2)/sum((A - mean(A))^2); "
                "m = (R2 - Ro2)/R2; n = (R2 - Ro2')/R2; R2 = squared Pearson R",
-    "RM": "Rm = R2 * (1 - sqrt(|R2 - Ro2|)); good fit when Rm > 0.5",
-    "ADEQUACY": "ratio = observations / parameters; adequate when ratio >= 3 "
-                "(3 to 5 is the recommended band)",
+    "PASS_K": f"{SLOPE_RANGE[0]:g} <= k or k' <= {SLOPE_RANGE[1]:g}",
+    "PASS_M": f"|m| < {INDEX_LIMIT:g}",
+    "PASS_N": f"|n| < {INDEX_LIMIT:g}",
+    "RM": f"Rm = R2 * (1 - sqrt(|R2 - Ro2|)); good fit when Rm > {RM_THRESHOLD:g}",
+    "ADEQUACY": "ratio = observations / parameters; adequate when ratio >= {0:g} "
+                "({0:g} to {1:g} is the recommended band)".format(*ADEQUACY_RANGE),
     "OBJ": "OBJ = ((Nt - Nv)/(Nt + Nv)) * (RMSE_t + MAE_t)/R2_t "
            "+ (2*Nv/(Nt + Nv)) * (RMSE_v + MAE_v)/R2_v; lower is better",
     "RI": "RI = mean of min-max normalized (RMSE, MAE, MAPE) across the model "
@@ -127,17 +130,6 @@ def _ro2(values, slope, centered_ss) -> float:
     return 1.0 - fsum((v - slope * v) ** 2 for v in values) / centered_ss
 
 
-def _tropsha_parts(data: PairedSeries):
-    if len(data) < 3:
-        raise DefinednessError("slope criterion needs at least 3 observations")
-    ctx = SeriesContext(data)
-    r2 = _squared_pearson(ctx)
-    k, k_prime = _origin_slopes(data)
-    ro2 = _ro2(data.predicted, k, ctx.s_pp)
-    ro2_prime = _ro2(data.actual, k_prime, ctx.s_aa)
-    return r2, k, k_prime, ro2, ro2_prime
-
-
 def tropsha_criteria(data: PairedSeries, slope_range=SLOPE_RANGE,
                      index_limit: float = INDEX_LIMIT) -> TropshaReport:
     """Slope-through-origin validation with configurable pass thresholds.
@@ -145,7 +137,13 @@ def tropsha_criteria(data: PairedSeries, slope_range=SLOPE_RANGE,
     Passes when at least one slope lies within ``slope_range`` and both
     performance indexes are below ``index_limit`` in magnitude.
     """
-    r2, k, k_prime, ro2, ro2_prime = _tropsha_parts(data)
+    if len(data) < 3:
+        raise DefinednessError("slope criterion needs at least 3 observations")
+    ctx = SeriesContext(data)
+    r2 = _squared_pearson(ctx)
+    k, k_prime = _origin_slopes(data)
+    ro2 = _ro2(data.predicted, k, ctx.s_pp)
+    ro2_prime = _ro2(data.actual, k_prime, ctx.s_aa)
     low, high = slope_range
     if r2 == 0:
         m_index = n_index = None
@@ -163,9 +161,10 @@ def tropsha_criteria(data: PairedSeries, slope_range=SLOPE_RANGE,
 
 def roy_rm(data: PairedSeries, threshold: float = RM_THRESHOLD) -> RmReport:
     """External predictability indicator Rm = R2 * (1 - sqrt(|R2 - Ro2|))."""
-    r2, k, _k_prime, ro2, _ro2_prime = _tropsha_parts(data)
-    rm = r2 * (1.0 - math.sqrt(abs(r2 - ro2)))
-    return RmReport(rm=rm, r2=r2, ro2=ro2, passed=rm > threshold, threshold=threshold)
+    rep = tropsha_criteria(data)  # R2 and Ro2 of the slope criterion
+    rm = rep.r2 * (1.0 - math.sqrt(abs(rep.r2 - rep.ro2)))
+    return RmReport(rm=rm, r2=rep.r2, ro2=rep.ro2, passed=rm > threshold,
+                    threshold=threshold)
 
 
 def data_adequacy_ratio(observation_count: int, parameter_count: int) -> AdequacyReport:

@@ -404,7 +404,7 @@ class TestThresholdReport:
 
         data = ScoredBinarySet([True, True, False, False, True],
                                [0.9, 0.3, 0.6, 0.1, 0.7])
-        ctx = ThresholdContext(data, confusion_from_scores(data, 0.5), 0.5, 0.7)
+        ctx = ThresholdContext(data, confusion_from_scores(data, 0.5), 0.7)
         results = threshold_report(ctx, reversed(list(METRICS)))
         assert [mv.id for mv, _ in results] == list(METRICS)
         notes = {mv.id: note for mv, note in results}
@@ -416,6 +416,22 @@ class TestThresholdReport:
         from modeval.dataset import confusion_from_scores
 
         data = ScoredBinarySet([True, False], [0.9, 0.1])
-        ctx = ThresholdContext(data, confusion_from_scores(data, 0.5), 0.5)
+        ctx = ThresholdContext(data, confusion_from_scores(data, 0.5))
         with pytest.raises(UsageError):
             threshold_report(ctx, {"ACC", "BOGUS"})
+
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2, 2)),
+                    min_size=1, max_size=40),
+           st.data())
+    def test_hamming_is_the_off_diagonal_share_of_the_tally(self, rows, draw):
+        from modeval.classification import METRICS, ThresholdContext
+        from modeval.dataset import NEGATIVE, POSITIVE, confusion_from_scores
+
+        labels, scores = zip(*rows)
+        data = ScoredBinarySet(labels, scores)
+        # a threshold equal to one of the scores puts ties at the cut
+        threshold = draw.draw(st.sampled_from(scores) | st.floats(-3, 3))
+        ctx = ThresholdContext(data, confusion_from_scores(data, threshold))
+        predicted = [POSITIVE if s >= threshold else NEGATIVE for s in data.scores]
+        assert METRICS["HAMMING"].fn(ctx) == hamming_loss(data.labels, predicted)

@@ -212,6 +212,22 @@ class TestCurves:
             threshold, x, y = line.split(",")
             float(threshold), float(x), float(y)
 
+    def test_pr_points_are_threshold_recall_precision(self, capsys, tmp_path):
+        from modeval.curves import pr_curve
+        from modeval.dataset import load_scored_csv
+
+        points_path = tmp_path / "points.csv"
+        code, _ = run_json(capsys, "curves", "--kind", "pr", "--input",
+                           str(FIXTURES / "s1.csv"), "--label-col", "label",
+                           "--score-col", "score", "--positive", "pos",
+                           "--emit-points", str(points_path))
+        assert code == 0
+        curve = pr_curve(load_scored_csv((FIXTURES / "s1.csv").read_bytes(),
+                                         "label", "score", "pos"))
+        lines = points_path.read_text().splitlines()
+        assert lines == ["threshold,x,y"] + [
+            f"{p.threshold!r},{p.recall!r},{p.precision!r}" for p in curve.points]
+
     def test_pr_report(self, capsys):
         code, doc = run_json(capsys, "curves", "--kind", "pr", "--input",
                              str(FIXTURES / "s1.csv"), "--label-col", "label",
@@ -383,3 +399,20 @@ class TestCsvReaderError:
                                  "--actual-col", "a", "--predicted-col", "p")
         assert code == 2 and not out
         assert err.startswith(f"modeval: error: {where}: ") and "Traceback" not in err
+
+
+class TestByteOrderMark:
+    def test_bom_file_gives_the_same_metrics(self, capsys, tmp_path):
+        body = b"a,p\n1,2\n3,5\n"
+        docs = []
+        for name, data in (("plain.csv", body), ("bom.csv", b"\xef\xbb\xbf" + body)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            code, doc = run_json(capsys, "regress", "--input", str(path),
+                                 "--actual-col", "a", "--predicted-col", "p")
+            assert code == 0
+            docs.append(doc)
+        plain, bom = docs
+        assert bom["metrics"] == plain["metrics"]
+        # the digest is of the raw bytes, BOM included
+        assert bom["input_digest"] != plain["input_digest"]

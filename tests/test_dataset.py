@@ -101,6 +101,19 @@ class TestLoadPairedCsv:
             load_paired_csv(b"a,p\nx,1", "a", "p", drop_bad_rows=True)
 
 
+class TestByteOrderMark:
+    def test_bom_bytes_and_text_read_like_plain(self):
+        plain = load_paired_csv(b"a,p\n1,2\n3,5\n", "a", "p")
+        assert load_paired_csv(b"\xef\xbb\xbfa,p\n1,2\n3,5\n", "a", "p") == plain
+        assert load_paired_csv("\ufeffa,p\n1,2\n3,5\n", "a", "p") == plain
+        scored = load_scored_csv("\ufeffy,s\npos,0.9\nneg,0.3", "y", "s", "pos")
+        assert scored.scores == (0.9, 0.3)
+
+    def test_only_one_leading_bom_is_dropped(self):
+        with pytest.raises(SchemaError, match=r"\\ufeffa"):
+            load_paired_csv("\ufeff\ufeffa,p\n1,2", "a", "p")
+
+
 class TestLoadScoredCsv:
     def test_direct_parse(self):
         s = load_scored_csv(b"y,s\npos,0.9\nneg,0.3", "y", "s", "pos")
