@@ -56,6 +56,11 @@ EXTRA_RUNS = {
         "curves", "--kind", "roc", "--input", str(FIXTURES / "s1.csv"),
         "--label-col", "label", "--score-col", "score", "--positive", "pos",
         "--emit-points", POINTS),
+    # heavy ties, a -0.0/0.0 group led by -0.0, and a tie group across the lift cut
+    "curves_pr_ties_points": (
+        "curves", "--kind", "pr", "--input", str(FIXTURES / "ties.csv"),
+        "--label-col", "label", "--score-col", "score", "--positive", "pos",
+        "--lift-fraction", "0.08", "--cal", "--emit-points", POINTS),
 }
 
 # Every snapshot under fixtures/golden, by file stem.
