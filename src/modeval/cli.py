@@ -134,12 +134,11 @@ def _cmd_classify(args, inputs: _Inputs) -> list:
                      for mv, note in classification.threshold_report(ctx, ids)]
 
 
-def _write_points(path: str, curve) -> None:
+def _write_points(path: str, xs, ys, thresholds) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,x,y\n")
-        # RocPoint and PrPoint are both laid out as (x, y, threshold)
-        for x, y, threshold in curve.points:
-            fh.write(f"{threshold!r},{x!r},{y!r}\n")
+        fh.writelines(f"{threshold!r},{x!r},{y!r}\n"
+                      for x, y, threshold in zip(xs, ys, thresholds))
 
 
 def _cmd_curves(args, inputs: _Inputs) -> list:
@@ -147,9 +146,11 @@ def _cmd_curves(args, inputs: _Inputs) -> list:
     notes = curves.FORMULA_NOTES
     if args.kind == "roc":
         curve = curves.roc_curve(data)
+        columns = (curve.fpr, curve.tpr, curve.thresholds)
         entries = [_entry(curves.auc(curve), notes["AUC"])]
     else:
         curve = curves.pr_curve(data)
+        columns = (curve.recall, curve.precision, curve.thresholds)
         entries = [_entry(curves.curve_average_precision(curve), notes["AP"]),
                    _entry(curves.break_even_point(curve), notes["BREAK_EVEN"])]
     if args.lift_fraction is not None:
@@ -160,7 +161,7 @@ def _cmd_curves(args, inputs: _Inputs) -> list:
         entries.append(_plain_entry(
             "CAL", report.cal, notes["CAL"] + f" [{len(report.window_errors)} windows]"))
     if args.emit_points:
-        _write_points(args.emit_points, curve)
+        _write_points(args.emit_points, *columns)
     return entries
 
 

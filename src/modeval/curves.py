@@ -1,5 +1,8 @@
 """Ranking and threshold-sweep metrics: ROC/AUC, PR/AP, break-even, lift, CAL.
 
+Every metric here reads ``ScoredBinarySet.ranking``, one stable descending
+sort of the scores that is built on first use and then shared.
+
 Tie handling: equal scores collapse into a single curve vertex (a diagonal
 ROC step), which makes the trapezoidal AUC equal the pairwise ranking
 probability with ties counted as one half. That equivalence is this module's
@@ -11,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import fsum
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .dataset import MetricValue, ScoredBinarySet, _check_probabilities
@@ -46,16 +51,34 @@ class PrPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold sweep from (0,0) to (1,1); one vertex per distinct score."""
+    """Threshold sweep from (0,0) to (1,1); one vertex per distinct score.
 
-    points: tuple[RocPoint, ...]
+    Held as three float columns; ``points`` builds the rows on demand.
+    """
+
+    fpr: tuple[float, ...]
+    tpr: tuple[float, ...]
+    thresholds: tuple[float, ...]
+
+    @property
+    def points(self) -> tuple[RocPoint, ...]:
+        return tuple(map(RocPoint, self.fpr, self.tpr, self.thresholds))
 
 
 @dataclass(frozen=True)
 class PrCurve:
-    """Threshold sweep over distinct scores; recall reaches 1 at the last point."""
+    """Threshold sweep over distinct scores; recall reaches 1 at the last point.
 
-    points: tuple[PrPoint, ...]
+    Held as three float columns; ``points`` builds the rows on demand.
+    """
+
+    recall: tuple[float, ...]
+    precision: tuple[float, ...]
+    thresholds: tuple[float, ...]
+
+    @property
+    def points(self) -> tuple[PrPoint, ...]:
+        return tuple(map(PrPoint, self.recall, self.precision, self.thresholds))
 
 
 @dataclass(frozen=True)
@@ -67,24 +90,6 @@ class CalibrationReport:
     window_size: int = CAL_WINDOW_SIZE
 
 
-def _sweep_groups(data: ScoredBinarySet):
-    """Cumulative (tp, fp, score) after each distinct score, descending."""
-    ranked = sorted(zip(data.scores, data.flags), key=lambda t: -t[0])
-    groups = []
-    tp = fp = 0
-    i = 0
-    while i < len(ranked):
-        score = ranked[i][0]
-        while i < len(ranked) and ranked[i][0] == score:
-            if ranked[i][1]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        groups.append((tp, fp, score))
-    return groups
-
-
 def roc_curve(data: ScoredBinarySet) -> RocCurve:
     """ROC sweep; ties move diagonally in one step, endpoints always present."""
     positives = data.positive_count
@@ -92,18 +97,21 @@ def roc_curve(data: ScoredBinarySet) -> RocCurve:
     if positives == 0 or negatives == 0:
         raise DefinednessError(
             "ROC needs at least one positive and one negative label")
-    points = [RocPoint(0.0, 0.0, math.inf)]
-    for tp, fp, score in _sweep_groups(data):
-        points.append(RocPoint(fp / negatives, tp / positives, score))
-    return RocCurve(tuple(points))
+    ranking = data.ranking
+    # rank 0 (nothing predicted positive) is the (0, 0) vertex
+    ranks = (0, *ranking.ends)
+    tp = list(map(ranking.cum_positives.__getitem__, ranks))
+    return RocCurve(tuple(map(truediv, map(sub, ranks, tp), repeat(negatives))),
+                    tuple(map(truediv, tp, repeat(positives))),
+                    (math.inf, *ranking.thresholds))
 
 
 def auc(curve: RocCurve) -> MetricValue:
     """Trapezoidal area under a ROC curve."""
-    pts = curve.points
-    terms = (0.5 * (pts[i + 1].fpr - pts[i].fpr) * (pts[i + 1].tpr + pts[i].tpr)
-             for i in range(len(pts) - 1))
-    return MetricValue.defined("AUC", fsum(terms))
+    fpr, tpr = curve.fpr, curve.tpr
+    # sum of 0.5 * width * (height sum); halving is exact, so it moves out of the sum
+    doubled = fsum(map(mul, map(sub, fpr[1:], fpr), map(add, tpr[1:], tpr)))
+    return MetricValue.defined("AUC", 0.5 * doubled)
 
 
 def pr_curve(data: ScoredBinarySet) -> PrCurve:
@@ -115,10 +123,11 @@ def pr_curve(data: ScoredBinarySet) -> PrCurve:
     positives = data.positive_count
     if positives == 0:
         raise DefinednessError("a PR curve needs at least one positive label")
-    points = []
-    for tp, fp, score in _sweep_groups(data):
-        points.append(PrPoint(tp / positives, tp / (tp + fp), score))
-    return PrCurve(tuple(points))
+    ranking = data.ranking
+    tp = list(map(ranking.cum_positives.__getitem__, ranking.ends))
+    return PrCurve(tuple(map(truediv, tp, repeat(positives))),
+                   tuple(map(truediv, tp, ranking.ends)),
+                   ranking.thresholds)
 
 
 def average_precision(data: ScoredBinarySet) -> MetricValue:
@@ -128,13 +137,9 @@ def average_precision(data: ScoredBinarySet) -> MetricValue:
 
 def curve_average_precision(curve: PrCurve) -> MetricValue:
     """AP of an already swept PR curve, so a caller holding one sorts once."""
-    pts = curve.points
-    previous_recall = 0.0
-    terms = []
-    for pt in pts:
-        terms.append((pt.recall - previous_recall) * pt.precision)
-        previous_recall = pt.recall
-    return MetricValue.defined("AP", fsum(terms))
+    recall = curve.recall
+    steps = map(sub, recall, (0.0, *recall[:-1]))
+    return MetricValue.defined("AP", fsum(map(mul, steps, curve.precision)))
 
 
 def break_even_point(curve: PrCurve) -> MetricValue:
@@ -143,14 +148,14 @@ def break_even_point(curve: PrCurve) -> MetricValue:
     Located by linear interpolation between the two bracketing points; with
     multiple crossings the first along increasing recall wins.
     """
-    pts = curve.points
-    gaps = [pt.precision - pt.recall for pt in pts]
-    for i, pt in enumerate(pts):
-        if gaps[i] == 0:
-            return MetricValue.defined("BREAK_EVEN", pt.recall)
-        if i + 1 < len(pts) and (gaps[i] > 0) != (gaps[i + 1] > 0):
-            s = gaps[i] / (gaps[i] - gaps[i + 1])
-            value = pts[i].recall + s * (pts[i + 1].recall - pts[i].recall)
+    recall = curve.recall
+    gaps = list(map(sub, curve.precision, recall))
+    for i, gap in enumerate(gaps):
+        if gap == 0:
+            return MetricValue.defined("BREAK_EVEN", recall[i])
+        if i + 1 < len(gaps) and (gap > 0) != (gaps[i + 1] > 0):
+            s = gap / (gap - gaps[i + 1])
+            value = recall[i] + s * (recall[i + 1] - recall[i])
             return MetricValue.defined("BREAK_EVEN", value)
     return MetricValue.undefined("BREAK_EVEN", "no_crossing")
 
@@ -158,9 +163,10 @@ def break_even_point(curve: PrCurve) -> MetricValue:
 def lift(data: ScoredBinarySet, fraction: float) -> MetricValue:
     """Positive concentration in the top-scored fraction relative to the fraction.
 
-    The cut keeps the top ceil(fraction*n) scores, with the requested fraction
-    snapped to an exact rational so decimal fractions like 0.2 cut where
-    expected; ties at the cut are broken by stable input order and flagged.
+    The cut keeps the top ceil(fraction*n) scores, at least one, with the
+    requested fraction snapped to an exact rational so decimal fractions like
+    0.2 cut where expected; ties at the cut are broken by stable input order
+    and flagged.
     """
     fraction = float(fraction)
     if not 0.0 < fraction <= 1.0:
@@ -169,13 +175,13 @@ def lift(data: ScoredBinarySet, fraction: float) -> MetricValue:
     if positives == 0:
         raise DefinednessError("lift needs at least one positive label")
     n = len(data)
-    cut = math.ceil(Fraction(fraction).limit_denominator(10 ** 9) * n)
-    order = sorted(range(n), key=lambda i: -data.scores[i])
-    top = order[:cut]
+    # a fraction below 5e-10 snaps to 0, but the cut is the ceiling of a positive number
+    cut = max(1, math.ceil(Fraction(fraction).limit_denominator(10 ** 9) * n))
+    ranking = data.ranking
     flags = ()
-    if cut < n and data.scores[order[cut - 1]] == data.scores[order[cut]]:
+    if cut < n and ranking.scores[cut - 1] == ranking.scores[cut]:
         flags = ("tie_at_cut",)
-    share = sum(1 for i in top if data.flags[i]) / positives
+    share = ranking.cum_positives[cut] / positives
     return MetricValue.defined("LIFT", share / fraction, flags=flags)
 
 
@@ -191,13 +197,20 @@ def calibration_error(data: ScoredBinarySet) -> CalibrationReport:
         raise DataError(
             f"calibration needs at least {CAL_WINDOW_SIZE} cases, got {n}")
     _check_probabilities(data.scores)
-    order = sorted(range(n), key=lambda i: data.scores[i])
-    scores = [data.scores[i] for i in order]
-    hits = [1 if data.flags[i] else 0 for i in order]
-    errors = []
-    for start in range(n - CAL_WINDOW_SIZE + 1):
-        stop = start + CAL_WINDOW_SIZE
-        frequency = sum(hits[start:stop]) / CAL_WINDOW_SIZE
-        mean_score = fsum(scores[start:stop]) / CAL_WINDOW_SIZE
-        errors.append(abs(frequency - mean_score))
+    ranking = data.ranking
+    cum = ranking.cum_positives
+    # The ascending order is the ranking's groups in reverse, each group in input
+    # order; hits[p] counts the positives among its first p cases. The reversed
+    # ranking differs from it only inside groups, whose scores are equal, so its
+    # windows have the same score sums.
+    ends = ranking.ends
+    hits = []
+    for first, end in zip(reversed((0, *ends[:-1])), reversed(ends)):
+        # positives ranked below the group, then those ahead of each member in it
+        hits.extend(map(add, cum[first:end], repeat(cum[n] - cum[end] - cum[first])))
+    hits.append(cum[n])
+    scores = ranking.scores[::-1]
+    errors = [abs((hits[start + CAL_WINDOW_SIZE] - hits[start]) / CAL_WINDOW_SIZE -
+                  fsum(scores[start:start + CAL_WINDOW_SIZE]) / CAL_WINDOW_SIZE)
+              for start in range(n - CAL_WINDOW_SIZE + 1)]
     return CalibrationReport(tuple(errors), fsum(errors) / len(errors))

@@ -16,8 +16,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import eq, itemgetter
+from itertools import accumulate, compress, count, repeat
+from operator import eq, itemgetter, ne
+from typing import NamedTuple
 
 from .errors import DataError, EmptyInputError, SchemaError, UsageError
 
@@ -152,6 +153,25 @@ def _coerce_label(label):
     raise DataError(f"label must be {POSITIVE!r}/{NEGATIVE!r} or a bool, got {label!r}")
 
 
+class Ranking(NamedTuple):
+    """Scores in one stable descending order: tied scores keep input order.
+
+    ``cum_positives[k]`` counts the positives among the top k scores (so it
+    starts at 0 and has one more entry than ``scores``), and ``ends`` holds,
+    for each distinct score in descending order, the rank just past its last
+    member: how many scores rank at or above it.
+    """
+
+    scores: tuple[float, ...]
+    cum_positives: tuple[int, ...]
+    ends: tuple[int, ...]
+
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        """Each distinct score as the first member of its group holds it (-0.0 or 0.0)."""
+        return tuple(map(self.scores.__getitem__, (0, *self.ends[:-1])))
+
+
 @dataclass(frozen=True)
 class ScoredBinarySet:
     """Binary ground-truth labels with real-valued classifier scores.
@@ -193,6 +213,15 @@ class ScoredBinarySet:
     @property
     def negative_count(self) -> int:
         return len(self.labels) - self.positive_count
+
+    @cached_property
+    def ranking(self) -> Ranking:
+        """The one sort that every ranking metric (ROC, PR, lift, CAL) reads."""
+        order = sorted(range(len(self.scores)), key=self.scores.__getitem__, reverse=True)
+        scores = tuple(map(self.scores.__getitem__, order))
+        cum_positives = tuple(accumulate(map(self.flags.__getitem__, order), initial=0))
+        ends = (*compress(count(1), map(ne, scores, scores[1:])), len(scores))
+        return Ranking(scores, cum_positives, ends)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ FORMULA_NOTES = {
                "Ro2 = 1 - sum((P - k*P)^2)/sum((P - mean(P))^2); "
                "Ro2' = 1 - sum((A - k'*A)^2)/sum((A - mean(A))^2); "
                "m = (R2 - Ro2)/R2; n = (R2 - Ro2')/R2; R2 = squared Pearson R",
-    "PASS_K": f"{SLOPE_RANGE[0]:g} <= k or k' <= {SLOPE_RANGE[1]:g}",
+    "PASS_K": f"{SLOPE_RANGE[0]:g} <= k <= {SLOPE_RANGE[1]:g} or "
+              f"{SLOPE_RANGE[0]:g} <= k' <= {SLOPE_RANGE[1]:g}",
     "PASS_M": f"|m| < {INDEX_LIMIT:g}",
     "PASS_N": f"|n| < {INDEX_LIMIT:g}",
     "RM": f"Rm = R2 * (1 - sqrt(|R2 - Ro2|)); good fit when Rm > {RM_THRESHOLD:g}",

@@ -126,3 +126,87 @@ def reference_scored_csv(text, label_column, score_column, positive_label, *,
             f"single label {distinct[0]!r} differs from positive label "
             f"{positive_label!r}; all rows treated as negative")
     return [label == positive_label for label in raw_labels], scores
+
+
+# Reference ranking metrics: the sort-per-call sweeps that the cached ranking
+# replaced, on plain (flags, scores) lists. Curves are lists of
+# (x, y, threshold) rows; callers check definedness themselves.
+
+def _reference_sweep_groups(flags, scores):
+    """Cumulative (tp, fp, score) after each distinct score, descending."""
+    ranked = sorted(zip(scores, flags), key=lambda t: -t[0])
+    groups = []
+    tp = fp = 0
+    i = 0
+    while i < len(ranked):
+        score = ranked[i][0]
+        while i < len(ranked) and ranked[i][0] == score:
+            if ranked[i][1]:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        groups.append((tp, fp, score))
+    return groups
+
+
+def reference_roc_points(flags, scores):
+    positives = sum(flags)
+    negatives = len(flags) - positives
+    points = [(0.0, 0.0, math.inf)]
+    for tp, fp, score in _reference_sweep_groups(flags, scores):
+        points.append((fp / negatives, tp / positives, score))
+    return points
+
+
+def reference_auc(points) -> float:
+    return math.fsum(0.5 * (points[i + 1][0] - points[i][0]) *
+                     (points[i + 1][1] + points[i][1])
+                     for i in range(len(points) - 1))
+
+
+def reference_pr_points(flags, scores):
+    positives = sum(flags)
+    return [(tp / positives, tp / (tp + fp), score)
+            for tp, fp, score in _reference_sweep_groups(flags, scores)]
+
+
+def reference_average_precision(points) -> float:
+    previous_recall = 0.0
+    terms = []
+    for recall, precision, _ in points:
+        terms.append((recall - previous_recall) * precision)
+        previous_recall = recall
+    return math.fsum(terms)
+
+
+def reference_break_even(points):
+    """The first precision == recall crossing, or None when there is none."""
+    gaps = [precision - recall for recall, precision, _ in points]
+    for i, (recall, _, _) in enumerate(points):
+        if gaps[i] == 0:
+            return recall
+        if i + 1 < len(points) and (gaps[i] > 0) != (gaps[i + 1] > 0):
+            s = gaps[i] / (gaps[i] - gaps[i + 1])
+            return recall + s * (points[i + 1][0] - recall)
+    return None
+
+
+def reference_lift(flags, scores, fraction):
+    """(value, flags) of LIFT; the cut is clamped to at least one score."""
+    n = len(flags)
+    cut = max(1, math.ceil(Fraction(fraction).limit_denominator(10 ** 9) * n))
+    order = sorted(range(n), key=lambda i: -scores[i])
+    tie = cut < n and scores[order[cut - 1]] == scores[order[cut]]
+    share = sum(1 for i in order[:cut] if flags[i]) / sum(flags)
+    return share / fraction, ("tie_at_cut",) if tie else ()
+
+
+def reference_cal_windows(flags, scores, window=100):
+    """Per-window |positive frequency - mean score| over ascending scores."""
+    order = sorted(range(len(scores)), key=lambda i: scores[i])
+    ranked = [scores[i] for i in order]
+    hits = [1 if flags[i] else 0 for i in order]
+    return [abs(sum(hits[start:start + window]) / window -
+                math.fsum(ranked[start:start + window]) / window)
+            for start in range(len(scores) - window + 1)]

@@ -281,6 +281,31 @@ class TestCurves:
         assert code == 0 and len(calls) == 1
         assert metric_map(doc)["AP"]["value"] == pytest.approx(11 / 12, rel=1e-12)
 
+    def test_pr_lift_cal_sort_the_scores_once(self, capsys, monkeypatch):
+        import builtins
+
+        import modeval.curves as curves
+        import modeval.dataset as dataset
+
+        rows = len((FIXTURES / "ties.csv").read_text().splitlines()) - 1
+        sizes = []
+
+        def counting(iterable, **kwargs):
+            items = list(iterable)
+            sizes.append(len(items))
+            return builtins.sorted(items, **kwargs)
+
+        for module in (dataset, curves):
+            monkeypatch.setattr(module, "sorted", counting, raising=False)
+        code, doc = run_json(capsys, "curves", "--kind", "pr", "--input",
+                             str(FIXTURES / "ties.csv"), "--label-col", "label",
+                             "--score-col", "score", "--positive", "pos",
+                             "--lift-fraction", "0.1", "--cal")
+        assert code == 0
+        assert list(metric_map(doc)) == ["AP", "BREAK_EVEN", "LIFT", "CAL"]
+        # the label check sorts the two distinct labels; the scores sort once
+        assert sizes.count(rows) == 1
+
     def test_missing_kind_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "curves", "--input",
                              str(FIXTURES / "s1.csv"), "--label-col", "label",

@@ -2,8 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import pairwise_auc
+from _oracles import (pairwise_auc, reference_auc, reference_average_precision,
+                      reference_break_even, reference_cal_windows, reference_lift,
+                      reference_pr_points, reference_roc_points)
 from modeval.curves import (CalibrationReport, auc, average_precision,
                             break_even_point, calibration_error, lift, pr_curve,
                             roc_curve)
@@ -224,6 +228,12 @@ class TestLift:
         mv = lift(data, 0.5)
         assert "tie_at_cut" in mv.flags
 
+    def test_tiny_fraction_keeps_the_top_score(self, s1):
+        # 1e-12 snaps to the rational 0, yet the cut still keeps the top score
+        mv = lift(s1, 1e-12)
+        assert mv.value == (1 / 3) / 1e-12
+        assert mv.flags == ()
+
     def test_fraction_bounds(self, s1):
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(UsageError):
@@ -290,3 +300,74 @@ class TestCalibration:
         report = calibration_error(ScoredBinarySet(flags, scores))
         assert report.cal == pytest.approx(
             math.fsum(report.window_errors) / len(report.window_errors), rel=1e-15)
+
+
+def _tie_heavy_scores(n):
+    """n scores in [0, 1]: few distinct values, mixed 0.0/-0.0, or a single value."""
+    return st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=n, max_size=n),
+        st.sampled_from([0.0, -0.0, 0.25]).map(lambda s: [s] * n),
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+
+
+def scored_sets(min_size):
+    return st.integers(min_size, 300).flatmap(lambda n: st.tuples(
+        st.lists(st.booleans(), min_size=n, max_size=n), _tie_heavy_scores(n)))
+
+
+def _columns(points):
+    return [(x.hex(), y.hex(), repr(threshold)) for x, y, threshold in points]
+
+
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+class TestRankingOracle:
+    """The cached ranking gives the sort-per-call sweeps' floats bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_sets(1), st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([1e-12, 5e-324, 0.08, 0.1, 0.2, 1 / 3, 0.5, 1.0])))
+    def test_sweeps_and_lift_match_reference(self, case, fraction):
+        flags, scores = case
+        data = ScoredBinarySet(flags, scores)
+        if any(flags) and not all(flags):
+            curve = roc_curve(data)
+            reference = reference_roc_points(flags, scores)
+            assert _columns(curve.points) == _columns(reference)
+            assert auc(curve).value.hex() == reference_auc(reference).hex()
+        else:
+            with pytest.raises(DefinednessError):
+                roc_curve(data)
+        if not any(flags):
+            for metric in (pr_curve, lambda d: lift(d, fraction)):
+                with pytest.raises(DefinednessError):
+                    metric(data)
+            return
+        curve = pr_curve(data)
+        reference = reference_pr_points(flags, scores)
+        assert _columns(curve.points) == _columns(reference)
+        assert average_precision(data).value.hex() == \
+            reference_average_precision(reference).hex()
+        assert _hex(break_even_point(curve).value) == \
+            _hex(reference_break_even(reference))
+        value, tie_flags = reference_lift(flags, scores, fraction)
+        if math.isfinite(value):
+            mv = lift(data, fraction)
+            assert (mv.value.hex(), mv.flags) == (value.hex(), tie_flags)
+        else:
+            with pytest.raises(DataError, match="finite"):
+                lift(data, fraction)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scored_sets(100))
+    def test_calibration_windows_match_reference(self, case):
+        flags, scores = case
+        report = calibration_error(ScoredBinarySet(flags, scores))
+        reference = reference_cal_windows(flags, scores)
+        assert [e.hex() for e in report.window_errors] == [e.hex() for e in reference]
+        assert report.cal.hex() == (math.fsum(reference) / len(reference)).hex()
