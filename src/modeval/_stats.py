@@ -7,12 +7,14 @@ relative tolerance.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import fsum
+from operator import sub
 
 
 def sum_sq_dev(values, center: float) -> float:
-    return fsum((v - center) ** 2 for v in values)
+    return fsum(map(pow, map(sub, values, repeat(center)), repeat(2)))
 
 
 def sum_abs_dev(values, center: float) -> float:
-    return fsum(abs(v - center) for v in values)
+    return fsum(map(abs, map(sub, values, repeat(center))))

@@ -9,6 +9,9 @@ produce byte-identical reports.
 Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 when --strict
 sees an undefined requested metric. Diagnostics go to stderr, reports to
 stdout.
+
+Each subcommand imports its metric family when it runs, so a process loads
+only the modules its own subcommand needs.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import classification, curves, regression, validation
 from .dataset import (MetricValue, confusion_from_scores, load_paired_csv,
                       load_scored_csv)
 from .errors import DataError, SchemaError, UsageError
@@ -116,6 +118,8 @@ def _metric_ids(text: str, catalog) -> list[str]:
 
 
 def _cmd_regress(args, inputs: _Inputs) -> list:
+    from . import regression
+
     data = inputs.paired(args.input, args, ordered=args.ordered,
                          drop_bad_rows=args.drop_bad_rows)
     report = regression.regression_report(data, _metric_ids(args.metrics, regression.METRICS),
@@ -124,6 +128,8 @@ def _cmd_regress(args, inputs: _Inputs) -> list:
 
 
 def _cmd_classify(args, inputs: _Inputs) -> list:
+    from . import classification
+
     data = inputs.scored(args, drop_bad_rows=args.drop_bad_rows)
     ids = _metric_ids(args.metrics, classification.METRICS)
     matrix = confusion_from_scores(data, args.threshold)
@@ -142,6 +148,8 @@ def _write_points(path: str, xs, ys, thresholds) -> None:
 
 
 def _cmd_curves(args, inputs: _Inputs) -> list:
+    from . import curves
+
     data = inputs.scored(args)
     notes = curves.FORMULA_NOTES
     if args.kind == "roc":
@@ -171,6 +179,8 @@ _CHECK_NEEDS = {"tropsha": ("input",), "rm": ("input",),
 
 
 def _cmd_validate(args, inputs: _Inputs) -> list:
+    from . import validation
+
     missing = [f"--{n.replace('_', '-')}" for n in _CHECK_NEEDS[args.check]
                if getattr(args, n) is None]
     if missing:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from math import fsum
 from operator import add, mul, sub, truediv
@@ -168,6 +167,8 @@ def lift(data: ScoredBinarySet, fraction: float) -> MetricValue:
     0.2 cut where expected; ties at the cut are broken by stable input order
     and flagged.
     """
+    from fractions import Fraction  # only lift needs it; keep it off the import path
+
     fraction = float(fraction)
     if not 0.0 < fraction <= 1.0:
         raise UsageError(f"fraction must lie in (0, 1], got {fraction!r}")

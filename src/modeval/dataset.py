@@ -5,13 +5,16 @@ threads; all operations are pure functions of their inputs. Non-finite values
 (NaN, +/-inf) are rejected at ingestion so that downstream definedness
 contracts stay testable instead of silently propagating NaN.
 
-CSV dialect: comma separator, first row is a header, ``.`` decimal point,
-optional CRLF line endings, optional UTF-8 byte order mark.
+CSV dialect: UTF-8 text, comma separator, first row is a header, ``.``
+decimal point, optional UTF-8 byte order mark. The csv module splits the
+records: only LF, CRLF and CR end one, and a quoted field may hold a line
+break. Row N in a message is the Nth non-blank record after the header.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -294,26 +297,41 @@ class ConfusionMatrixK:
 # CSV ingestion
 
 
-def _decode(source) -> str:
+def _records(source):
+    """The header, a lazy iterator over the non-blank records after it, and
+    the byte stream under them.
+
+    The csv module splits records straight from the encoded input, so no
+    decoded copy of the whole text and no list of lines is ever held. A str
+    source is encoded once; ``surrogatepass`` lets a lone surrogate in it load
+    as it always has, while bytes must be strict UTF-8. ``utf-8-sig`` drops
+    one leading byte order mark, which is not part of the header's first name.
+    """
     data = source.read() if hasattr(source, "read") else source
-    # a leading byte order mark is not part of the header's first name
-    if isinstance(data, (bytes, bytearray)):
-        return bytes(data).decode("utf-8-sig")
     if isinstance(data, str):
-        return data.removeprefix("\ufeff")
-    raise UsageError("CSV source must be bytes, text, or a file-like object")
-
-
-def _csv_rows(text):
-    """The header and a lazy iterator over the non-blank rows after it."""
-    rows = filter(None, csv.reader(text.splitlines()))
+        data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
+    elif isinstance(data, (bytes, bytearray)):
+        errors = "strict"
+    else:
+        raise UsageError("CSV source must be bytes, text, or a file-like object")
+    raw = io.BytesIO(data)
+    text = io.TextIOWrapper(raw, encoding="utf-8-sig", errors=errors, newline="")
+    rows = filter(None, csv.reader(text))
     try:
         header = next(rows, None)
     except csv.Error as exc:
         raise DataError(f"header row: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, raw) from None
     if header is None:
         raise EmptyInputError("CSV has no header row")
-    return header, rows
+    return header, rows, raw
+
+
+def _not_utf8(exc: UnicodeDecodeError, raw) -> DataError:
+    # the decoder saw a chunk that ends where the byte stream now stands
+    offset = raw.tell() - len(exc.object) + exc.start
+    return DataError(f"input is not valid UTF-8: {exc.reason} at byte {offset}")
 
 
 def _column_index(header, name):
@@ -349,7 +367,7 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
     to ``warnings`` when a list is supplied. A row the csv module cannot
     read (a field over its size limit) is a DataError either way.
     """
-    header, rows = _csv_rows(_decode(source))
+    header, rows, raw = _records(source)
     ai = _column_index(header, actual_column)
     pi = _column_index(header, predicted_column)
     cells = itemgetter(ai, pi)
@@ -376,6 +394,8 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
                 dropped += 1
     except csv.Error as exc:
         raise DataError(f"row {number + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, raw) from None
     if dropped and warnings is not None:
         warnings.append(f"dropped {dropped} row(s) with unusable cells")
     if not actual:
@@ -394,7 +414,7 @@ def load_scored_csv(source, label_column: str, score_column: str,
     ``positive_label`` loads as all-negative with a warning, so degenerate
     single-class data can still be scored.
     """
-    header, rows = _csv_rows(_decode(source))
+    header, rows, raw = _records(source)
     li = _column_index(header, label_column)
     si = _column_index(header, score_column)
     cells = itemgetter(li, si)
@@ -422,6 +442,8 @@ def load_scored_csv(source, label_column: str, score_column: str,
                 dropped += 1
     except csv.Error as exc:
         raise DataError(f"row {number + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, raw) from None
     if dropped and warnings is not None:
         warnings.append(f"dropped {dropped} row(s) with unusable cells")
     if not raw_labels:

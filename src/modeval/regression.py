@@ -30,7 +30,9 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, islice, repeat, tee
 from math import fsum
+from operator import add, mul, not_, sub, truediv
 
 from ._stats import sum_abs_dev, sum_sq_dev
 from .dataset import Metric, MetricValue, PairedSeries, select_metrics
@@ -49,15 +51,16 @@ class RegressionReport:
 
 def residuals(data: PairedSeries) -> tuple[float, ...]:
     """Signed residuals E_i = A_i - P_i, in input order."""
-    return tuple(a - p for a, p in zip(data.actual, data.predicted))
+    return tuple(map(sub, data.actual, data.predicted))
 
 
 class SeriesContext:
     """A paired series and the statistics its metrics share.
 
     Each statistic is computed on first use and kept, so a report pays only
-    for what its requested ids need and never computes one twice. Sums over
-    per-term ratios are kept instead of the terms themselves.
+    for what its requested ids need and never computes one twice. Besides
+    ``e`` and ``abs_e`` no statistic keeps n values: sums over per-term
+    ratios stream from maps and keep only the sum.
     """
 
     def __init__(self, data: PairedSeries, skip_undefined_terms: bool = False):
@@ -71,7 +74,7 @@ class SeriesContext:
 
     @cached_property
     def abs_e(self) -> tuple[float, ...]:
-        return tuple(abs(ei) for ei in self.e)
+        return tuple(map(abs, self.e))
 
     @cached_property
     def a_mean(self) -> float:
@@ -83,7 +86,7 @@ class SeriesContext:
 
     @cached_property
     def sse(self) -> float:
-        return fsum(ei * ei for ei in self.e)
+        return fsum(map(mul, self.e, self.e))
 
     @cached_property
     def sum_abs_e(self) -> float:
@@ -103,8 +106,8 @@ class SeriesContext:
 
     @cached_property
     def s_ap(self) -> float:
-        a_mean, p_mean = self.a_mean, self.p_mean
-        return fsum((ai - a_mean) * (pi - p_mean) for ai, pi in zip(self.a, self.p))
+        return fsum(map(mul, map(sub, self.a, repeat(self.a_mean)),
+                        map(sub, self.p, repeat(self.p_mean))))
 
     @cached_property
     def r(self) -> float:
@@ -122,7 +125,8 @@ class SeriesContext:
         return self.a.count(0.0)
 
     def _ratios(self):
-        return (ei / ai for ei, ai in zip(self.e, self.a) if ai != 0)
+        # E_i / A_i over the nonzero A_i: compress and filter keep the same rows
+        return map(truediv, compress(self.e, self.a), filter(None, self.a))
 
     @cached_property
     def ratio_sum(self) -> float:
@@ -130,19 +134,19 @@ class SeriesContext:
 
     @cached_property
     def abs_ratio_sum(self) -> float:
-        return fsum(abs(t) for t in self._ratios())
+        return fsum(map(abs, self._ratios()))
 
     @cached_property
     def sq_ratio_sum(self) -> float:
-        return fsum(t * t for t in self._ratios())
+        return fsum(map(mul, *tee(self._ratios())))
 
     @cached_property
     def geo_mean_abs(self) -> float:
         # Log-domain product to dodge overflow/underflow; a single exact-zero
         # residual pins the geometric mean at zero.
-        if any(v == 0.0 for v in self.abs_e):
+        if 0.0 in self.abs_e:
             return 0.0
-        return math.exp(fsum(math.log(v) for v in self.abs_e) / self.n)
+        return math.exp(fsum(map(math.log, self.abs_e)) / self.n)
 
 
 def _term_mean(ctx, metric_id, reason, bad, total, scale=lambda mean: mean):
@@ -170,17 +174,27 @@ def _percent(mean):
     return 100.0 * mean
 
 
+def _over_nonzero(numerators, denominators):
+    """sum(n_i / d_i) over the terms whose d_i != 0; ``denominators`` makes a
+    fresh iterator on each call, so no list of them is ever held."""
+    return fsum(map(truediv, compress(numerators, denominators()),
+                    filter(None, denominators())))
+
+
 def _mrae(c):
+    # |A_i - m| == 0 exactly when A_i == m: a float difference is never 0 otherwise
     m = c.a_mean
-    devs = [abs(ai - m) for ai in c.a]
-    return _term_mean(c, "MRAE", "constant_actual", devs.count(0.0),
-                      lambda: fsum(ei / d for ei, d in zip(c.abs_e, devs) if d != 0))
+    return _term_mean(c, "MRAE", "constant_actual", c.a.count(m),
+                      lambda: _over_nonzero(c.abs_e,
+                                            lambda: map(abs, map(sub, c.a, repeat(m)))))
 
 
 def _fae(c):
-    denoms = [abs(ai) + abs(pi) for ai, pi in zip(c.a, c.p)]
-    return _term_mean(c, "FAE", "zero_pair", denoms.count(0.0),
-                      lambda: fsum(2.0 * ei / d for ei, d in zip(c.abs_e, denoms) if d != 0))
+    # |A_i| + |P_i| == 0 exactly when both are zero
+    zero_pairs = sum(map(not_, compress(c.p, map(not_, c.a))))
+    return _term_mean(c, "FAE", "zero_pair", zero_pairs,
+                      lambda: _over_nonzero(map(mul, repeat(2.0), c.abs_e),
+                                            lambda: map(add, map(abs, c.a), map(abs, c.p))))
 
 
 def _unless_zero(metric_id, statistic, reason, finish):
@@ -218,7 +232,7 @@ def _mase(c):
     if c.n < 2:
         return MetricValue.undefined("MASE", "too_short")
     a = c.a
-    naive = fsum(abs(a[i] - a[i - 1]) for i in range(1, c.n)) / (c.n - 1)
+    naive = fsum(map(abs, map(sub, islice(a, 1, None), a))) / (c.n - 1)
     if naive == 0:
         return MetricValue.undefined("MASE", "zero_naive_error")
     return MetricValue.defined("MASE", (c.sum_abs_e / c.n) / naive)

@@ -426,6 +426,28 @@ class TestCsvReaderError:
         assert err.startswith(f"modeval: error: {where}: ") and "Traceback" not in err
 
 
+class TestInvalidUtf8:
+    # the loaders decode in chunks, so a bad byte past the first chunk comes
+    # up inside the record loop rather than while the header is read
+    LATE = b"1,2\n" * 3000 + b"\xff3,4\n"
+
+    @pytest.mark.parametrize("command, data, offset", [
+        ("regress", b"a\xff,p\n1,2\n", 1),
+        ("regress", b"a,p\n" + LATE, 12004),
+        ("classify", b"a,p\n" + LATE, 12004),
+    ], ids=["header", "regress-row", "classify-row"])
+    def test_bad_byte_is_a_data_error_without_traceback(self, capsys, tmp_path, command,
+                                                        data, offset):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        columns = (["--actual-col", "a", "--predicted-col", "p"] if command == "regress"
+                   else ["--label-col", "a", "--score-col", "p", "--positive", "1"])
+        code, out, err = run_cli(capsys, command, "--input", str(path), *columns)
+        assert code == 2 and not out
+        assert err == ("modeval: error: input is not valid UTF-8: invalid start byte "
+                       f"at byte {offset}\n")
+
+
 class TestByteOrderMark:
     def test_bom_file_gives_the_same_metrics(self, capsys, tmp_path):
         body = b"a,p\n1,2\n3,5\n"

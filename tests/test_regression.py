@@ -1,15 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
+from math import fsum
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modeval.dataset import PairedSeries
-from modeval.errors import UsageError
-from modeval.regression import (FORMULA_NOTES, METRIC_IDS, point_metric,
-                                regression_report, residuals)
+from modeval.dataset import MetricValue, PairedSeries
+from modeval.errors import DataError, UsageError
+from modeval.regression import (FORMULA_NOTES, METRIC_IDS, METRICS, SeriesContext,
+                                _term_mean, point_metric, regression_report, residuals)
 
 # Frozen expected values for the reference fixture A=[1,2,3,4], P=[2,2,4,5],
 # confirmed beforehand by Fraction arithmetic (see the exact forms below).
@@ -315,3 +317,110 @@ class TestSharedStatistics:
         report = regression_report(f1, METRIC_IDS)
         assert list(report.metrics) == list(METRIC_IDS)
         assert all(mv.id == metric_id for metric_id, mv in report.metrics.items())
+
+
+class GeneratorContext(SeriesContext):
+    """The shared sums as the generator expressions that the map pipelines
+    replaced: each term is the same float operation, so fsum gives the same bits."""
+
+    @cached_property
+    def e(self):
+        return tuple(a - p for a, p in zip(self.a, self.p))
+
+    @cached_property
+    def abs_e(self):
+        return tuple(abs(ei) for ei in self.e)
+
+    @cached_property
+    def sse(self):
+        return fsum(ei * ei for ei in self.e)
+
+    @cached_property
+    def s_aa(self):
+        return fsum((v - self.a_mean) ** 2 for v in self.a)
+
+    @cached_property
+    def s_pp(self):
+        return fsum((v - self.p_mean) ** 2 for v in self.p)
+
+    @cached_property
+    def abs_dev_a(self):
+        return fsum(abs(v - self.a_mean) for v in self.a)
+
+    @cached_property
+    def s_ap(self):
+        return fsum((ai - self.a_mean) * (pi - self.p_mean) for ai, pi in zip(self.a, self.p))
+
+    def _ratios(self):
+        return (ei / ai for ei, ai in zip(self.e, self.a) if ai != 0)
+
+    @cached_property
+    def abs_ratio_sum(self):
+        return fsum(abs(t) for t in self._ratios())
+
+    @cached_property
+    def sq_ratio_sum(self):
+        return fsum(t * t for t in self._ratios())
+
+    @cached_property
+    def geo_mean_abs(self):
+        if any(v == 0.0 for v in self.abs_e):
+            return 0.0
+        return math.exp(fsum(math.log(v) for v in self.abs_e) / self.n)
+
+
+def _list_mrae(c):
+    m = c.a_mean
+    devs = [abs(ai - m) for ai in c.a]
+    return _term_mean(c, "MRAE", "constant_actual", devs.count(0.0),
+                      lambda: fsum(ei / d for ei, d in zip(c.abs_e, devs) if d != 0))
+
+
+def _list_fae(c):
+    denoms = [abs(ai) + abs(pi) for ai, pi in zip(c.a, c.p)]
+    return _term_mean(c, "FAE", "zero_pair", denoms.count(0.0),
+                      lambda: fsum(2.0 * ei / d for ei, d in zip(c.abs_e, denoms) if d != 0))
+
+
+def _list_mase(c):
+    if not c.data.ordered or c.n < 2:
+        return METRICS["MASE"].fn(c)  # undefined before the sum
+    a = c.a
+    naive = fsum(abs(a[i] - a[i - 1]) for i in range(1, c.n)) / (c.n - 1)
+    if naive == 0:
+        return MetricValue.undefined("MASE", "zero_naive_error")
+    return MetricValue.defined("MASE", (c.sum_abs_e / c.n) / naive)
+
+
+GENERATOR_METRICS = {"MRAE": _list_mrae, "FAE": _list_fae, "MASE": _list_mase}
+
+# exact zeros of both signs, values at the ends of the float range and
+# repeats, so that A_i == mean(A), zero pairs and overflowing sums all occur
+_ADVERSARIAL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 2.5, 1e308, -1e308, 5e-324, -5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def adversarial_series(draw):
+    n = draw(st.integers(1, 30))
+    values = st.lists(_ADVERSARIAL, min_size=n, max_size=n)
+    return PairedSeries(draw(values), draw(values), draw(st.booleans()))
+
+
+def _bits(fn, ctx):
+    try:
+        mv = fn(ctx)
+    except (ArithmeticError, ValueError, DataError) as exc:
+        return type(exc), str(exc)
+    value = None if mv.value is None else mv.value.hex()
+    return value, mv.status, mv.reason, mv.dropped_terms, mv.flags
+
+
+class TestStreamingSumsMatchGenerators:
+    @given(adversarial_series(), st.booleans())
+    def test_every_id_is_bit_identical(self, series, skip):
+        for metric_id, metric in METRICS.items():
+            want = _bits(GENERATOR_METRICS.get(metric_id, metric.fn),
+                         GeneratorContext(series, skip))
+            assert _bits(metric.fn, SeriesContext(series, skip)) == want, metric_id
