@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
+from operator import add, sub, truediv
 
 from .dataset import (NEGATIVE, POSITIVE, ConfusionMatrix2, ConfusionMatrixK, Metric,
                       MetricValue, PairedSeries, ScoredBinarySet,
@@ -256,34 +257,25 @@ def hinge_loss(data: ScoredBinarySet) -> MetricValue:
     return MetricValue.defined("HINGE", fsum(terms) / len(terms))
 
 
-def _negative_input_flags(data: PairedSeries) -> tuple[str, ...]:
-    if any(v < 0 for v in data.actual) or any(v < 0 for v in data.predicted):
-        return ("negative_inputs",)
-    return ()
+def _distance(metric_id: str, data: PairedSeries, denominators) -> MetricValue:
+    """sum(|A_i - P_i| / d_i) over the given denominators; undefined when one is zero."""
+    if 0.0 in denominators:
+        return MetricValue.undefined(metric_id, "zero_denominator")
+    gaps = map(abs, map(sub, data.actual, data.predicted))
+    negative = min(data.actual) < 0 or min(data.predicted) < 0
+    return MetricValue.defined(metric_id, fsum(map(truediv, gaps, denominators)),
+                               flags=("negative_inputs",) if negative else ())
 
 
 def canberra(data: PairedSeries) -> MetricValue:
     """Canberra distance between the actual and predicted vectors (a sum)."""
-    flags = _negative_input_flags(data)
-    terms = []
-    for a, p in zip(data.actual, data.predicted):
-        denom = abs(a) + abs(p)
-        if denom == 0:
-            return MetricValue.undefined("CM", "zero_denominator")
-        terms.append(abs(a - p) / denom)
-    return MetricValue.defined("CM", fsum(terms), flags=flags)
+    return _distance("CM", data, tuple(map(add, map(abs, data.actual),
+                                           map(abs, data.predicted))))
 
 
 def wave_hedges(data: PairedSeries) -> MetricValue:
     """Wave Hedges distance; each gap is normalized by the pairwise maximum."""
-    flags = _negative_input_flags(data)
-    terms = []
-    for a, p in zip(data.actual, data.predicted):
-        denom = max(a, p)
-        if denom == 0:
-            return MetricValue.undefined("WHD", "zero_denominator")
-        terms.append(abs(a - p) / denom)
-    return MetricValue.defined("WHD", fsum(terms), flags=flags)
+    return _distance("WHD", data, tuple(map(max, data.actual, data.predicted)))
 
 
 def probability_matrix_from_scores(data: ScoredBinarySet) -> ProbabilityMatrix:

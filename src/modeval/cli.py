@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,6 +74,8 @@ def _entry(mv: MetricValue, note: str) -> dict:
 
 
 def _plain_entry(entry_id: str, value, note: str = "") -> dict:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DataError(f"{entry_id}: a defined metric must carry a finite value")
     return {"id": entry_id, "value": value, "status": "defined", "formula_note": note}
 
 
@@ -124,7 +127,7 @@ def _cmd_regress(args, inputs: _Inputs) -> list:
                          drop_bad_rows=args.drop_bad_rows)
     report = regression.regression_report(data, _metric_ids(args.metrics, regression.METRICS),
                                           skip_undefined_terms=args.skip_undefined_terms)
-    return [_entry(mv, report.formula_notes[i]) for i, mv in report.metrics.items()]
+    return [_entry(mv, regression.METRICS[i].note) for i, mv in report.metrics.items()]
 
 
 def _cmd_classify(args, inputs: _Inputs) -> list:
@@ -203,7 +206,7 @@ def _cmd_validate(args, inputs: _Inputs) -> list:
         rep = validation.roy_rm(inputs.paired(args.input, args))
         return [_plain_entry("RM", rep.rm, note["RM"]),
                 _plain_entry("R2", rep.r2), _plain_entry("RO2", rep.ro2),
-                _plain_entry("PASS_RM", rep.passed, f"Rm > {rep.threshold:g}")]
+                _plain_entry("PASS_RM", rep.passed, note["PASS_RM"])]
     if args.check == "adequacy":
         inputs.hasher.update(f"observations={args.observations},"
                              f"parameters={args.parameters}".encode())
@@ -214,8 +217,7 @@ def _cmd_validate(args, inputs: _Inputs) -> list:
     if args.check == "objective":
         train = inputs.paired(args.train, args)
         holdout = inputs.paired(args.validation, args)
-        mv = validation.gandomi_objective(validation.SplitSeries(train, holdout))
-        return [_entry(mv, note["OBJ"])]
+        return [_entry(validation.gandomi_objective(train, holdout), note["OBJ"])]
     models = args.model or []
     if len(models) < 2:
         raise UsageError("--check ri requires at least two --model NAME=PATH flags")

@@ -8,7 +8,9 @@ contracts stay testable instead of silently propagating NaN.
 CSV dialect: UTF-8 text, comma separator, first row is a header, ``.``
 decimal point, optional UTF-8 byte order mark. The csv module splits the
 records: only LF, CRLF and CR end one, and a quoted field may hold a line
-break. Row N in a message is the Nth non-blank record after the header.
+break. A quote left open at the end of the input, or text after a closing
+quote, is an error. Row N in a message is the Nth non-blank record after the
+header.
 """
 
 from __future__ import annotations
@@ -316,22 +318,31 @@ def _records(source):
         raise UsageError("CSV source must be bytes, text, or a file-like object")
     raw = io.BytesIO(data)
     text = io.TextIOWrapper(raw, encoding="utf-8-sig", errors=errors, newline="")
-    rows = filter(None, csv.reader(text))
+    rows = filter(None, csv.reader(text, strict=True))
     try:
         header = next(rows, None)
-    except csv.Error as exc:
-        raise DataError(f"header row: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, raw) from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _read_error(exc, "header row", raw) from None
     if header is None:
         raise EmptyInputError("CSV has no header row")
     return header, rows, raw
 
 
-def _not_utf8(exc: UnicodeDecodeError, raw) -> DataError:
+def _read_error(exc: csv.Error | UnicodeDecodeError, where: str, raw) -> DataError:
+    """The DataError for a record that the csv module or the UTF-8 decoder
+    rejected; ``where`` names the record for a csv.Error."""
+    if isinstance(exc, csv.Error):
+        return DataError(f"{where}: {exc}")
     # the decoder saw a chunk that ends where the byte stream now stands
     offset = raw.tell() - len(exc.object) + exc.start
     return DataError(f"input is not valid UTF-8: {exc.reason} at byte {offset}")
+
+
+def _check_kept(kept: list, dropped: int, warnings: list | None) -> None:
+    if dropped and warnings is not None:
+        warnings.append(f"dropped {dropped} row(s) with unusable cells")
+    if not kept:
+        raise EmptyInputError("no usable data rows")
 
 
 def _column_index(header, name):
@@ -365,7 +376,8 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
     ``drop_bad_rows`` an unparseable or non-finite cell discards the
     offending row instead of raising; the count of dropped rows is appended
     to ``warnings`` when a list is supplied. A row the csv module cannot
-    read (a field over its size limit) is a DataError either way.
+    read (a field over its size limit, a quote left open at the end of the
+    input, text after a closing quote) is a DataError either way.
     """
     header, rows, raw = _records(source)
     ai = _column_index(header, actual_column)
@@ -392,14 +404,9 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
                 if not drop_bad_rows:
                     raise
                 dropped += 1
-    except csv.Error as exc:
-        raise DataError(f"row {number + 1}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, raw) from None
-    if dropped and warnings is not None:
-        warnings.append(f"dropped {dropped} row(s) with unusable cells")
-    if not actual:
-        raise EmptyInputError("no usable data rows")
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _read_error(exc, f"row {number + 1}", raw) from None
+    _check_kept(actual, dropped, warnings)
     return PairedSeries(actual, predicted, ordered)
 
 
@@ -440,14 +447,9 @@ def load_scored_csv(source, label_column: str, score_column: str,
                 if not drop_bad_rows:
                     raise
                 dropped += 1
-    except csv.Error as exc:
-        raise DataError(f"row {number + 1}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, raw) from None
-    if dropped and warnings is not None:
-        warnings.append(f"dropped {dropped} row(s) with unusable cells")
-    if not raw_labels:
-        raise EmptyInputError("no usable data rows")
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _read_error(exc, f"row {number + 1}", raw) from None
+    _check_kept(raw_labels, dropped, warnings)
     distinct = sorted(set(raw_labels))
     if len(distinct) > 2:
         raise SchemaError(

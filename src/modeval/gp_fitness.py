@@ -20,19 +20,6 @@ from ._stats import sum_sq_dev
 from .dataset import MetricValue, _check_finite
 from .errors import DataError
 
-FORMULA_NOTES = {
-    "WMW": "WMW = count(P_i > P_j and P_i >= 0 over minority i, majority j) "
-           "/ (N_minority * N_majority)",
-    "FFA": "FFA = mean over classes of 1 - sum((sig(P) - T_c)^2) / (2*N_c), "
-           "T = +0.5 minority / -0.5 majority",
-    "FFC": "FFC = (r + bonus) / 2; r = sqrt(between-class SS) / sqrt(total SS) "
-           "of pooled outputs; bonus = 1 when mean(minority) > 0 > mean(majority)",
-    "FFD": "FFD = |mean(minority) - mean(majority)| / (std(minority) + std(majority)), "
-           "gated to 0 unless mean(minority) > 0 > mean(majority); population std",
-    "D_SCORE": "D = harmonic mean of C1, C2; C1 = mean(|sig(P)| over majority "
-               "outputs <= 0), C2 = mean(|sig(P)| over minority outputs > 0)",
-}
-
 
 @dataclass(frozen=True)
 class ClassOutputs:
@@ -78,8 +65,9 @@ def sig_scaled(x: float) -> float:
 def wmw(data: ClassOutputs) -> MetricValue:
     """Fraction of minority/majority pairs ranked correctly by a non-negative output.
 
-    The indicator demands P_i > P_j and P_i >= 0, so minority examples scored
-    negative never count even when they outrank every majority example.
+    WMW = count(P_i > P_j and P_i >= 0 over minority i, majority j)
+    / (N_minority * N_majority). Minority examples scored negative never
+    count, even when they outrank every majority example.
     """
     count = 0
     for pi in data.minority:
@@ -92,7 +80,10 @@ def wmw(data: ClassOutputs) -> MetricValue:
 
 
 def ffa(data: ClassOutputs) -> MetricValue:
-    """Pattern-difference fitness against the +/-0.5 class targets; ideal is 1."""
+    """Pattern-difference fitness against the +/-0.5 class targets; ideal is 1.
+
+    FFA = mean over classes c of 1 - sum((sig(P) - T_c)^2) / (2*N_c).
+    """
 
     def class_score(outputs, target):
         gap = fsum((sig_scaled(p) - target) ** 2 for p in outputs)
@@ -103,7 +94,11 @@ def ffa(data: ClassOutputs) -> MetricValue:
 
 
 def ffc(data: ClassOutputs) -> MetricValue:
-    """Correlation-ratio fitness plus a bonus for correctly signed class means."""
+    """Correlation-ratio fitness plus a bonus for correctly signed class means.
+
+    FFC = (r + bonus) / 2, where r = sqrt(between-class SS / total SS) of the
+    pooled outputs and bonus = 1 when mean(minority) > 0 > mean(majority).
+    """
     pooled = data.minority + data.majority
     pooled_mean = fsum(pooled) / len(pooled)
     total = sum_sq_dev(pooled, pooled_mean)
@@ -119,8 +114,9 @@ def ffc(data: ClassOutputs) -> MetricValue:
 def ffd(data: ClassOutputs) -> MetricValue:
     """Separation of the class output distributions, gated on mean signs.
 
-    Unbounded above; 0 whenever the class means are not on opposite sides of
-    zero (minority positive, majority negative).
+    FFD = |mean(minority) - mean(majority)| / (std(minority) + std(majority))
+    with population stds. Unbounded above; 0 whenever the class means are not
+    on opposite sides of zero (minority positive, majority negative).
     """
     spread = data.minority_std + data.majority_std
     if spread == 0:

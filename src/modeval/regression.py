@@ -46,7 +46,6 @@ class RegressionReport:
     metrics: dict
     n: int
     a_mean: float
-    formula_notes: dict
 
 
 def residuals(data: PairedSeries) -> tuple[float, ...]:
@@ -317,5 +316,4 @@ def regression_report(data: PairedSeries, ids, *,
     selected = select_metrics(METRICS, ids, "regression")
     ctx = SeriesContext(data, skip_undefined_terms)
     return RegressionReport(metrics={m.id: m.fn(ctx) for m in selected}, n=ctx.n,
-                            a_mean=ctx.a_mean,
-                            formula_notes={m.id: m.note for m in selected})
+                            a_mean=ctx.a_mean)

@@ -41,6 +41,7 @@ FORMULA_NOTES = {
     "PASS_M": f"|m| < {INDEX_LIMIT:g}",
     "PASS_N": f"|n| < {INDEX_LIMIT:g}",
     "RM": f"Rm = R2 * (1 - sqrt(|R2 - Ro2|)); good fit when Rm > {RM_THRESHOLD:g}",
+    "PASS_RM": f"Rm > {RM_THRESHOLD:g}",
     "ADEQUACY": "ratio = observations / parameters; adequate when ratio >= {0:g} "
                 "({0:g} to {1:g} is the recommended band)".format(*ADEQUACY_RANGE),
     "OBJ": "OBJ = ((Nt - Nv)/(Nt + Nv)) * (RMSE_t + MAE_t)/R2_t "
@@ -75,7 +76,6 @@ class RmReport:
     r2: float
     ro2: float
     passed: bool
-    threshold: float = RM_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,6 @@ class AdequacyReport:
     ratio: float
     verdict: str  # below | within | above
     adequate: bool
-
-
-@dataclass(frozen=True)
-class SplitSeries:
-    """Train and validation predictions evaluated together."""
-
-    train: PairedSeries
-    validation: PairedSeries
 
 
 @dataclass(frozen=True)
@@ -160,12 +152,11 @@ def tropsha_criteria(data: PairedSeries, slope_range=SLOPE_RANGE,
                          overall_pass=pass_k and pass_m and pass_n)
 
 
-def roy_rm(data: PairedSeries, threshold: float = RM_THRESHOLD) -> RmReport:
+def roy_rm(data: PairedSeries) -> RmReport:
     """External predictability indicator Rm = R2 * (1 - sqrt(|R2 - Ro2|))."""
     rep = tropsha_criteria(data)  # R2 and Ro2 of the slope criterion
     rm = rep.r2 * (1.0 - math.sqrt(abs(rep.r2 - rep.ro2)))
-    return RmReport(rm=rm, r2=rep.r2, ro2=rep.ro2, passed=rm > threshold,
-                    threshold=threshold)
+    return RmReport(rm=rm, r2=rep.r2, ro2=rep.ro2, passed=rm > RM_THRESHOLD)
 
 
 def data_adequacy_ratio(observation_count: int, parameter_count: int) -> AdequacyReport:
@@ -197,11 +188,11 @@ def _split_terms(series: PairedSeries):
     return rmse, mae, r2
 
 
-def gandomi_objective(data: SplitSeries) -> MetricValue:
+def gandomi_objective(train: PairedSeries, validation: PairedSeries) -> MetricValue:
     """Two-term train/validation composite; zero iff both splits fit perfectly."""
-    rmse_t, mae_t, r2_t = _split_terms(data.train)
-    rmse_v, mae_v, r2_v = _split_terms(data.validation)
-    nt, nv = len(data.train), len(data.validation)
+    rmse_t, mae_t, r2_t = _split_terms(train)
+    rmse_v, mae_v, r2_v = _split_terms(validation)
+    nt, nv = len(train), len(validation)
     total = nt + nv
     value = (((nt - nv) / total) * (rmse_t + mae_t) / r2_t
              + (2.0 * nv / total) * (rmse_v + mae_v) / r2_v)

@@ -8,6 +8,7 @@ import csv
 import math
 from fractions import Fraction
 
+from modeval.dataset import MetricValue
 from modeval.errors import DataError, EmptyInputError, SchemaError
 
 
@@ -210,3 +211,34 @@ def reference_cal_windows(flags, scores, window=100):
     return [abs(sum(hits[start:start + window]) / window -
                 math.fsum(ranked[start:start + window]) / window)
             for start in range(len(scores) - window + 1)]
+
+
+# Reference vector distances: the per-term loops that the shared distance
+# kernel replaced.
+
+def _negative_input_flags(data):
+    if any(v < 0 for v in data.actual) or any(v < 0 for v in data.predicted):
+        return ("negative_inputs",)
+    return ()
+
+
+def reference_canberra(data):
+    flags = _negative_input_flags(data)
+    terms = []
+    for a, p in zip(data.actual, data.predicted):
+        denom = abs(a) + abs(p)
+        if denom == 0:
+            return MetricValue.undefined("CM", "zero_denominator")
+        terms.append(abs(a - p) / denom)
+    return MetricValue.defined("CM", math.fsum(terms), flags=flags)
+
+
+def reference_wave_hedges(data):
+    flags = _negative_input_flags(data)
+    terms = []
+    for a, p in zip(data.actual, data.predicted):
+        denom = max(a, p)
+        if denom == 0:
+            return MetricValue.undefined("WHD", "zero_denominator")
+        terms.append(abs(a - p) / denom)
+    return MetricValue.defined("WHD", math.fsum(terms), flags=flags)

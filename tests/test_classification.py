@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import reference_canberra, reference_wave_hedges
 from modeval.classification import (ProbabilityMatrix, accuracy,
                                     average_class_accuracy, balanced_accuracy,
                                     brier_score, canberra, cohen_kappa, f_beta,
@@ -375,6 +376,22 @@ class TestHingeLoss:
         assert hinge_loss(ScoredBinarySet([False], [2.0])).value == 3.0
 
 
+_ADVERSARIAL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(-100.0, 100.0),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _distance_outcome(metric, data):
+    """(value hex, status, reason, flags), or the error type and message."""
+    try:
+        mv = metric(data)
+    except (DataError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    value = None if mv.value is None else mv.value.hex()
+    return value, mv.status, mv.reason, mv.flags
+
+
 class TestVectorDistances:
     def test_identical_vectors(self):
         s = PairedSeries([1, 2, 3], [1, 2, 3])
@@ -395,6 +412,17 @@ class TestVectorDistances:
         s = PairedSeries([-1, 2], [1, 2])
         assert "negative_inputs" in canberra(s).flags
         assert "negative_inputs" in wave_hedges(s).flags
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(_ADVERSARIAL, _ADVERSARIAL),
+        st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]))),
+        min_size=1, max_size=20))
+    def test_kernel_matches_per_term_loops(self, pairs):
+        s = PairedSeries([a for a, _ in pairs], [p for _, p in pairs])
+        assert _distance_outcome(canberra, s) == _distance_outcome(reference_canberra, s)
+        assert _distance_outcome(wave_hedges, s) == \
+            _distance_outcome(reference_wave_hedges, s)
 
 
 class TestThresholdReport:

@@ -369,6 +369,18 @@ class TestValidate:
                                "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("check, entry_id", [("tropsha", "K"), ("rm", "RM")])
+    def test_non_finite_statistic_is_a_data_error(self, capsys, tmp_path, check, entry_id):
+        # k = sum(A*P)/sum(P^2) overflows; the report must not carry Infinity
+        path = tmp_path / "extreme.csv"
+        path.write_text("actual,predicted\n1e150,1e-160\n2e150,3e-160\n"
+                        "3e150,2e-160\n4e150,5e-160\n")
+        code, out, err = run_cli(capsys, "validate", "--check", check,
+                                 "--input", str(path))
+        assert code == 2 and not out
+        assert err == (f"modeval: error: {entry_id}: a defined metric must carry "
+                       "a finite value\n")
+
     def test_missing_check_inputs_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--check", "objective",
                                "--train", str(FIXTURES / "perfect.csv"))
@@ -424,6 +436,21 @@ class TestCsvReaderError:
                                  "--actual-col", "a", "--predicted-col", "p")
         assert code == 2 and not out
         assert err.startswith(f"modeval: error: {where}: ") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("text, message", [
+        ('a,p\n1,2\n"3,4\n5,6\n7,8\n9,10\n', "unexpected end of data"),
+        ('a,p\n1,2\n"3"x,4\n5,6\n', "',' expected after '\"'"),
+    ], ids=["open-quote", "text-after-quote"])
+    @pytest.mark.parametrize("drop", [[], ["--drop-bad-rows"]], ids=["strict", "drop"])
+    def test_bad_quoting_names_the_row(self, capsys, tmp_path, text, message, drop):
+        path = tmp_path / "quotes.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "regress", "--input", str(path),
+                                 "--actual-col", "a", "--predicted-col", "p",
+                                 "--metrics", "MAE", *drop)
+        assert code == 2 and not out
+        assert err == f"modeval: error: row 2: {message}\n"
 
 
 class TestInvalidUtf8:

@@ -6,7 +6,7 @@ import pytest
 
 from modeval.dataset import PairedSeries
 from modeval.errors import DefinednessError, UsageError
-from modeval.validation import (AdequacyReport, SplitSeries, data_adequacy_ratio,
+from modeval.validation import (AdequacyReport, data_adequacy_ratio,
                                 gandomi_objective, reference_index,
                                 reference_index_from_metrics, roy_rm,
                                 tropsha_criteria)
@@ -136,18 +136,18 @@ class TestGandomiObjective:
     def test_perfect_splits(self):
         train = PairedSeries([1, 2, 3], [1, 2, 3])
         holdout = PairedSeries([4, 5, 6, 7], [4, 5, 6, 7])
-        assert gandomi_objective(SplitSeries(train, holdout)).value == 0.0
+        assert gandomi_objective(train, holdout).value == 0.0
 
     def test_equal_split_sizes_drop_first_term(self, f1):
         # Nt == Nv makes the whole objective (RMSE_v + MAE_v) / R2_v
         perfect_train = PairedSeries([1, 2, 3, 4], [1, 2, 3, 4])
-        mv = gandomi_objective(SplitSeries(perfect_train, f1))
+        mv = gandomi_objective(perfect_train, f1)
         r2 = float(Fraction(121, 135))
         expected = (math.sqrt(0.75) + 0.75) / r2
         assert mv.value == pytest.approx(expected, rel=1e-12)
 
     def test_f1_both_splits_frozen_value(self, f1):
-        mv = gandomi_objective(SplitSeries(f1, f1))
+        mv = gandomi_objective(f1, f1)
         assert mv.value == pytest.approx(1.803003549676853, rel=1e-12)
 
     def test_zero_iff_zero_residuals(self):
@@ -156,15 +156,14 @@ class TestGandomiObjective:
             n = rng.randint(3, 20)
             a = [rng.uniform(1, 50) for _ in range(n)]
             noisy = [x + rng.uniform(0.1, 2.0) for x in a]
-            mv = gandomi_objective(SplitSeries(PairedSeries(a, a),
-                                               PairedSeries(a, noisy)))
+            mv = gandomi_objective(PairedSeries(a, a), PairedSeries(a, noisy))
             assert mv.value > 0.0
 
     def test_degenerate_split_rejected(self):
         constant = PairedSeries([3, 3, 3], [1, 2, 3])
         good = PairedSeries([1, 2, 3], [1, 2, 3])
         with pytest.raises(DefinednessError):
-            gandomi_objective(SplitSeries(constant, good))
+            gandomi_objective(constant, good)
 
 
 class TestReferenceIndex:
