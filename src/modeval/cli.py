@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
-from pathlib import Path
 
 from . import __version__
 from .dataset import (MetricValue, confusion_from_scores, load_paired_csv,
@@ -40,25 +40,69 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _DigestingReader(io.RawIOBase):
+    """An unbuffered input file, owned and closed by this reader, that feeds
+    each byte it reads to a hash: the digest is taken as the loader streams
+    the file, and the file's bytes are never held."""
+
+    def __init__(self, file, hasher):
+        self._file = file
+        self._hasher = hasher
+        self._position = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        if n:
+            self._hasher.update(memoryview(buffer)[:n])
+            self._position += n
+        return n
+
+    def tell(self) -> int:
+        return self._position
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+class _InputFile(io.BufferedReader):
+    """An input file as the loaders read it: buffered, and digested as it streams.
+
+    ``count`` reads the file again from disk. It serves perfbench/tracing.py,
+    which counts a loader's rows as the newlines in the loader's input."""
+
+    def __init__(self, path: str, hasher):
+        super().__init__(_DigestingReader(open(path, "rb", buffering=0), hasher))
+        self._path = path
+
+    def count(self, sub: bytes) -> int:
+        with open(self._path, "rb") as fh:
+            return fh.read().count(sub)
+
+
 class _Inputs:
-    """Reads a command's input files into one digest and collects loader warnings."""
+    """Streams a command's input files through one digest and collects loader
+    warnings. The digest is the sha256 of the files concatenated in the order
+    they are read; each loader reads its file to the end."""
 
     def __init__(self):
         self.hasher = hashlib.sha256()
         self.warnings: list[str] = []
 
-    def read(self, path: str) -> bytes:
-        data = Path(path).read_bytes()
-        self.hasher.update(data)
-        return data
+    def _load(self, load, path: str, *args, **options):
+        with _InputFile(path, self.hasher) as stream:
+            return load(stream, *args, warnings=self.warnings, **options)
 
     def paired(self, path: str, args, **options):
-        return load_paired_csv(self.read(path), args.actual_col, args.predicted_col,
-                               warnings=self.warnings, **options)
+        return self._load(load_paired_csv, path, args.actual_col, args.predicted_col,
+                          **options)
 
     def scored(self, args, **options):
-        return load_scored_csv(self.read(args.input), args.label_col, args.score_col,
-                               args.positive, warnings=self.warnings, **options)
+        return self._load(load_scored_csv, args.input, args.label_col, args.score_col,
+                          args.positive, **options)
 
 
 def _entry(mv: MetricValue, note: str) -> dict:

@@ -19,6 +19,7 @@ import csv
 import io
 import math
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
@@ -299,33 +300,42 @@ class ConfusionMatrixK:
 # CSV ingestion
 
 
+@contextmanager
 def _records(source):
     """The header, a lazy iterator over the non-blank records after it, and
-    the byte stream under them.
+    the byte stream under them, for the body of a ``with`` block.
 
-    The csv module splits records straight from the encoded input, so no
-    decoded copy of the whole text and no list of lines is ever held. A str
-    source is encoded once; ``surrogatepass`` lets a lone surrogate in it load
-    as it always has, while bytes must be strict UTF-8. ``utf-8-sig`` drops
-    one leading byte order mark, which is not part of the header's first name.
+    The csv module splits records straight from a binary stream, so no
+    decoded copy of the whole text and no list of lines is ever held. A
+    binary file object is read where it stands; bytes and str become a
+    BytesIO first. A str source is encoded once; ``surrogatepass`` lets a
+    lone surrogate in it load as it always has, while bytes must be strict
+    UTF-8. ``utf-8-sig`` drops one leading byte order mark, which is not part
+    of the header's first name. The text wrapper is detached on the way out,
+    so it never closes the caller's file.
     """
-    data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, str):
-        data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
-    elif isinstance(data, (bytes, bytearray)):
-        errors = "strict"
+    errors = "strict"
+    if isinstance(source, io.BufferedIOBase):
+        raw = source
     else:
-        raise UsageError("CSV source must be bytes, text, or a file-like object")
-    raw = io.BytesIO(data)
+        data = source.read() if hasattr(source, "read") else source
+        if isinstance(data, str):
+            data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
+        elif not isinstance(data, (bytes, bytearray)):
+            raise UsageError("CSV source must be bytes, text, or a file-like object")
+        raw = io.BytesIO(data)
     text = io.TextIOWrapper(raw, encoding="utf-8-sig", errors=errors, newline="")
-    rows = filter(None, csv.reader(text, strict=True))
     try:
-        header = next(rows, None)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _read_error(exc, "header row", raw) from None
-    if header is None:
-        raise EmptyInputError("CSV has no header row")
-    return header, rows, raw
+        rows = filter(None, csv.reader(text, strict=True))
+        try:
+            header = next(rows, None)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _read_error(exc, "header row", raw) from None
+        if header is None:
+            raise EmptyInputError("CSV has no header row")
+        yield header, rows, raw
+    finally:
+        text.detach()
 
 
 def _read_error(exc: csv.Error | UnicodeDecodeError, where: str, raw) -> DataError:
@@ -372,40 +382,42 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
                     warnings: list | None = None) -> PairedSeries:
     """Parse a header-bearing CSV into a PairedSeries, keeping file order.
 
-    Rows are read one at a time and only the two named cells are kept. With
-    ``drop_bad_rows`` an unparseable or non-finite cell discards the
-    offending row instead of raising; the count of dropped rows is appended
-    to ``warnings`` when a list is supplied. A row the csv module cannot
-    read (a field over its size limit, a quote left open at the end of the
-    input, text after a closing quote) is a DataError either way.
+    ``source`` is bytes, str, or a binary file object, which is read from
+    where it stands and left open. Rows are read one at a time and only the
+    two named cells are kept. With ``drop_bad_rows`` an unparseable or
+    non-finite cell discards the offending row instead of raising; the count
+    of dropped rows is appended to ``warnings`` when a list is supplied. A
+    row the csv module cannot read (a field over its size limit, a quote
+    left open at the end of the input, text after a closing quote) is a
+    DataError either way.
     """
-    header, rows, raw = _records(source)
-    ai = _column_index(header, actual_column)
-    pi = _column_index(header, predicted_column)
-    cells = itemgetter(ai, pi)
-    isfinite = math.isfinite
-    actual, predicted, dropped, number = [], [], 0, 0
-    try:
-        for number, row in enumerate(rows, start=1):
-            try:
-                a_cell, p_cell = cells(row)
-                a, p = float(a_cell), float(p_cell)
-                if isfinite(a) and isfinite(p):
-                    actual.append(a)
-                    predicted.append(p)
-                    continue
-            except (IndexError, ValueError):
-                pass
-            # a bad row: the per-cell checks raise the message for its first bad cell
-            try:
-                _parse_cell(row, number, ai, actual_column)
-                _parse_cell(row, number, pi, predicted_column)
-            except DataError:
-                if not drop_bad_rows:
-                    raise
-                dropped += 1
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _read_error(exc, f"row {number + 1}", raw) from None
+    with _records(source) as (header, rows, raw):
+        ai = _column_index(header, actual_column)
+        pi = _column_index(header, predicted_column)
+        cells = itemgetter(ai, pi)
+        isfinite = math.isfinite
+        actual, predicted, dropped, number = [], [], 0, 0
+        try:
+            for number, row in enumerate(rows, start=1):
+                try:
+                    a_cell, p_cell = cells(row)
+                    a, p = float(a_cell), float(p_cell)
+                    if isfinite(a) and isfinite(p):
+                        actual.append(a)
+                        predicted.append(p)
+                        continue
+                except (IndexError, ValueError):
+                    pass
+                # a bad row: the per-cell checks raise the message for its first bad cell
+                try:
+                    _parse_cell(row, number, ai, actual_column)
+                    _parse_cell(row, number, pi, predicted_column)
+                except DataError:
+                    if not drop_bad_rows:
+                        raise
+                    dropped += 1
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _read_error(exc, f"row {number + 1}", raw) from None
     _check_kept(actual, dropped, warnings)
     return PairedSeries(actual, predicted, ordered)
 
@@ -415,40 +427,41 @@ def load_scored_csv(source, label_column: str, score_column: str,
                     warnings: list | None = None) -> ScoredBinarySet:
     """Parse a header-bearing CSV into a ScoredBinarySet.
 
-    Rows stream as in ``load_paired_csv``. The label column must hold at
-    most two distinct strings; with two, one of them must equal
+    Sources and rows are read as in ``load_paired_csv``. The label column
+    must hold at most two distinct strings; with two, one of them must equal
     ``positive_label``. A file whose only label differs from
     ``positive_label`` loads as all-negative with a warning, so degenerate
     single-class data can still be scored.
     """
-    header, rows, raw = _records(source)
-    li = _column_index(header, label_column)
-    si = _column_index(header, score_column)
-    cells = itemgetter(li, si)
-    isfinite = math.isfinite
-    raw_labels, scores, dropped, number = [], [], 0, 0
-    try:
-        for number, row in enumerate(rows, start=1):
-            try:
-                label, cell = cells(row)
-                score = float(cell)
-                if isfinite(score):
-                    raw_labels.append(label)
-                    scores.append(score)
-                    continue
-            except (IndexError, ValueError):
-                pass
-            # a bad row: the per-cell checks raise the message for its first bad cell
-            try:
-                if li >= len(row):
-                    raise DataError(f"row {number}: missing value in column {label_column!r}")
-                _parse_cell(row, number, si, score_column)
-            except DataError:
-                if not drop_bad_rows:
-                    raise
-                dropped += 1
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise _read_error(exc, f"row {number + 1}", raw) from None
+    with _records(source) as (header, rows, raw):
+        li = _column_index(header, label_column)
+        si = _column_index(header, score_column)
+        cells = itemgetter(li, si)
+        isfinite = math.isfinite
+        raw_labels, scores, dropped, number = [], [], 0, 0
+        try:
+            for number, row in enumerate(rows, start=1):
+                try:
+                    label, cell = cells(row)
+                    score = float(cell)
+                    if isfinite(score):
+                        raw_labels.append(label)
+                        scores.append(score)
+                        continue
+                except (IndexError, ValueError):
+                    pass
+                # a bad row: the per-cell checks raise the message for its first bad cell
+                try:
+                    if li >= len(row):
+                        raise DataError(
+                            f"row {number}: missing value in column {label_column!r}")
+                    _parse_cell(row, number, si, score_column)
+                except DataError:
+                    if not drop_bad_rows:
+                        raise
+                    dropped += 1
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _read_error(exc, f"row {number + 1}", raw) from None
     _check_kept(raw_labels, dropped, warnings)
     distinct = sorted(set(raw_labels))
     if len(distinct) > 2:

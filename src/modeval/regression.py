@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat, tee
@@ -59,7 +60,8 @@ class SeriesContext:
     Each statistic is computed on first use and kept, so a report pays only
     for what its requested ids need and never computes one twice. Besides
     ``e`` and ``abs_e`` no statistic keeps n values: sums over per-term
-    ratios stream from maps and keep only the sum.
+    ratios stream from maps and keep only the sum. Those two are unboxed
+    ``array("d")`` columns, 8 bytes per value, holding the same floats.
     """
 
     def __init__(self, data: PairedSeries, skip_undefined_terms: bool = False):
@@ -68,12 +70,12 @@ class SeriesContext:
         self.skip = skip_undefined_terms
 
     @cached_property
-    def e(self) -> tuple[float, ...]:
-        return residuals(self.data)
+    def e(self) -> array:
+        return array("d", map(sub, self.a, self.p))
 
     @cached_property
-    def abs_e(self) -> tuple[float, ...]:
-        return tuple(map(abs, self.e))
+    def abs_e(self) -> array:
+        return array("d", map(abs, self.e))
 
     @cached_property
     def a_mean(self) -> float:
@@ -294,7 +296,6 @@ METRICS = {m.id: m for m in (
 )}
 
 METRIC_IDS: tuple[str, ...] = tuple(METRICS)
-FORMULA_NOTES = {i: m.note for i, m in METRICS.items()}
 
 
 def point_metric(metric_id: str, data: PairedSeries, *,

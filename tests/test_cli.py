@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -490,3 +493,52 @@ class TestByteOrderMark:
         assert bom["metrics"] == plain["metrics"]
         # the digest is of the raw bytes, BOM included
         assert bom["input_digest"] != plain["input_digest"]
+
+
+class TestInputStreaming:
+    """The CLI streams each input file through the digest instead of holding it."""
+
+    def test_regress_peak_stays_below_the_file_size(self, capsys, tmp_path):
+        # a wide unused column makes the file outweigh the two kept columns,
+        # so a process that holds the file's bytes peaks above its size
+        rng = random.Random(21)
+        path = tmp_path / "padded.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("actual,predicted,note\n")
+            for _ in range(20_000):
+                actual = round(rng.uniform(1, 100), 3)
+                fh.write(f"{actual},{actual + rng.gauss(0, 2)!r},{'x' * 120}\n")
+        argv = ["regress", "--input", str(path), "--actual-col", "actual",
+                "--predicted-col", "predicted", "--ordered", "--skip-undefined-terms"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < path.stat().st_size
+
+    @pytest.mark.parametrize("data", [
+        b"\xef\xbb\xbfa,p\n1,2\n3,5\n",
+        b"a,p\r\n1,2\r\n3,5\r\n",
+        b"a,p\n1,2\n3,5\n\n\n\r\n",
+        b"a,p\n1,2\n3,5",
+    ], ids=["bom", "crlf", "trailing-blank-lines", "no-final-newline"])
+    def test_digest_is_the_sha256_of_the_raw_file(self, capsys, tmp_path, data):
+        path = tmp_path / "input.csv"
+        path.write_bytes(data)
+        _, doc = run_json(capsys, "regress", "--input", str(path),
+                          "--actual-col", "a", "--predicted-col", "p")
+        assert doc["input_digest"] == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("order", [("model_a", "model_b"), ("model_b", "model_a")])
+    def test_validate_digest_joins_the_files_in_argument_order(self, capsys, order):
+        paths = [FIXTURES / f"{name}.csv" for name in order]
+        joined = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+        _, doc = run_json(capsys, "validate", "--check", "objective",
+                          "--train", str(paths[0]), "--validation", str(paths[1]))
+        assert doc["input_digest"] == joined
+        _, doc = run_json(capsys, "validate", "--check", "ri",
+                          *(f"--model={p.stem}={p}" for p in paths))
+        assert doc["input_digest"] == joined

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from modeval.dataset import MetricValue, PairedSeries
 from modeval.errors import DataError, UsageError
-from modeval.regression import (FORMULA_NOTES, METRIC_IDS, METRICS, SeriesContext,
+from modeval.regression import (METRIC_IDS, METRICS, SeriesContext,
                                 _term_mean, point_metric, regression_report, residuals)
 
 # Frozen expected values for the reference fixture A=[1,2,3,4], P=[2,2,4,5],
@@ -183,7 +183,9 @@ class TestReport:
             point_metric("BOGUS", f1)
 
     def test_notes_cover_catalog(self):
-        assert set(FORMULA_NOTES) == set(METRIC_IDS)
+        # every catalog entry states its own formula, which names the metric
+        assert tuple(METRICS) == METRIC_IDS
+        assert all(m.id == i and m.note.startswith(f"{i} = ") for i, m in METRICS.items())
 
 
 finite_series = st.lists(
