@@ -12,8 +12,9 @@ core oracle test.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import fsum
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
@@ -52,11 +53,13 @@ class PrPoint(NamedTuple):
 class RocCurve:
     """Threshold sweep from (0,0) to (1,1); one vertex per distinct score.
 
-    Held as three float columns; ``points`` builds the rows on demand.
+    Held as three float columns: the rates are ``array("d")``, the thresholds
+    a tuple of the scored set's own floats after a leading ``inf``. ``points``
+    builds the rows on demand.
     """
 
-    fpr: tuple[float, ...]
-    tpr: tuple[float, ...]
+    fpr: array
+    tpr: array
     thresholds: tuple[float, ...]
 
     @property
@@ -68,11 +71,13 @@ class RocCurve:
 class PrCurve:
     """Threshold sweep over distinct scores; recall reaches 1 at the last point.
 
-    Held as three float columns; ``points`` builds the rows on demand.
+    Held as three float columns: the rates are ``array("d")``, the thresholds
+    a tuple of the scored set's own floats. ``points`` builds the rows on
+    demand.
     """
 
-    recall: tuple[float, ...]
-    precision: tuple[float, ...]
+    recall: array
+    precision: array
     thresholds: tuple[float, ...]
 
     @property
@@ -98,10 +103,10 @@ def roc_curve(data: ScoredBinarySet) -> RocCurve:
             "ROC needs at least one positive and one negative label")
     ranking = data.ranking
     # rank 0 (nothing predicted positive) is the (0, 0) vertex
-    ranks = (0, *ranking.ends)
-    tp = list(map(ranking.cum_positives.__getitem__, ranks))
-    return RocCurve(tuple(map(truediv, map(sub, ranks, tp), repeat(negatives))),
-                    tuple(map(truediv, tp, repeat(positives))),
+    ranks = array("Q", (0,)) + ranking.ends
+    tp = array("Q", map(ranking.cum_positives.__getitem__, ranks))
+    return RocCurve(array("d", map(truediv, map(sub, ranks, tp), repeat(negatives))),
+                    array("d", map(truediv, tp, repeat(positives))),
                     (math.inf, *ranking.thresholds))
 
 
@@ -123,9 +128,10 @@ def pr_curve(data: ScoredBinarySet) -> PrCurve:
     if positives == 0:
         raise DefinednessError("a PR curve needs at least one positive label")
     ranking = data.ranking
-    tp = list(map(ranking.cum_positives.__getitem__, ranking.ends))
-    return PrCurve(tuple(map(truediv, tp, repeat(positives))),
-                   tuple(map(truediv, tp, ranking.ends)),
+    ends = ranking.ends
+    tp = array("Q", map(ranking.cum_positives.__getitem__, ends))
+    return PrCurve(array("d", map(truediv, tp, repeat(positives))),
+                   array("d", map(truediv, tp, ends)),
                    ranking.thresholds)
 
 
@@ -137,7 +143,7 @@ def average_precision(data: ScoredBinarySet) -> MetricValue:
 def curve_average_precision(curve: PrCurve) -> MetricValue:
     """AP of an already swept PR curve, so a caller holding one sorts once."""
     recall = curve.recall
-    steps = map(sub, recall, (0.0, *recall[:-1]))
+    steps = map(sub, recall, chain((0.0,), recall))
     return MetricValue.defined("AP", fsum(map(mul, steps, curve.precision)))
 
 
@@ -148,14 +154,15 @@ def break_even_point(curve: PrCurve) -> MetricValue:
     multiple crossings the first along increasing recall wins.
     """
     recall = curve.recall
-    gaps = list(map(sub, curve.precision, recall))
-    for i, gap in enumerate(gaps):
+    previous = None  # the gap at point i - 1, nonzero
+    for i, gap in enumerate(map(sub, curve.precision, recall)):
+        if previous is not None and (previous > 0) != (gap > 0):
+            s = previous / (previous - gap)
+            value = recall[i - 1] + s * (recall[i] - recall[i - 1])
+            return MetricValue.defined("BREAK_EVEN", value)
         if gap == 0:
             return MetricValue.defined("BREAK_EVEN", recall[i])
-        if i + 1 < len(gaps) and (gap > 0) != (gaps[i + 1] > 0):
-            s = gap / (gap - gaps[i + 1])
-            value = recall[i] + s * (recall[i + 1] - recall[i])
-            return MetricValue.defined("BREAK_EVEN", value)
+        previous = gap
     return MetricValue.undefined("BREAK_EVEN", "no_crossing")
 
 
@@ -182,8 +189,11 @@ def lift(data: ScoredBinarySet, fraction: float) -> MetricValue:
     flags = ()
     if cut < n and ranking.scores[cut - 1] == ranking.scores[cut]:
         flags = ("tie_at_cut",)
-    share = ranking.cum_positives[cut] / positives
-    return MetricValue.defined("LIFT", share / fraction, flags=flags)
+    value = ranking.cum_positives[cut] / positives / fraction
+    if not math.isfinite(value):
+        # a subnormal fraction: the share over it leaves the float range
+        return MetricValue.undefined("LIFT", "overflow")
+    return MetricValue.defined("LIFT", value, flags=flags)
 
 
 def calibration_error(data: ScoredBinarySet) -> CalibrationReport:

@@ -18,11 +18,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, itemgetter, ne
 from typing import NamedTuple
 
@@ -165,17 +166,16 @@ class Ranking(NamedTuple):
     ``cum_positives[k]`` counts the positives among the top k scores (so it
     starts at 0 and has one more entry than ``scores``), and ``ends`` holds,
     for each distinct score in descending order, the rank just past its last
-    member: how many scores rank at or above it.
+    member: how many scores rank at or above it. Both are ``array("Q")``
+    columns of new counts. ``scores`` and ``thresholds`` stay tuples of the
+    set's own floats; ``thresholds`` holds each distinct score as the first
+    member of its group holds it (-0.0 or 0.0).
     """
 
     scores: tuple[float, ...]
-    cum_positives: tuple[int, ...]
-    ends: tuple[int, ...]
-
-    @property
-    def thresholds(self) -> tuple[float, ...]:
-        """Each distinct score as the first member of its group holds it (-0.0 or 0.0)."""
-        return tuple(map(self.scores.__getitem__, (0, *self.ends[:-1])))
+    cum_positives: array
+    ends: array
+    thresholds: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -225,9 +225,13 @@ class ScoredBinarySet:
         """The one sort that every ranking metric (ROC, PR, lift, CAL) reads."""
         order = sorted(range(len(self.scores)), key=self.scores.__getitem__, reverse=True)
         scores = tuple(map(self.scores.__getitem__, order))
-        cum_positives = tuple(accumulate(map(self.flags.__getitem__, order), initial=0))
-        ends = (*compress(count(1), map(ne, scores, scores[1:])), len(scores))
-        return Ranking(scores, cum_positives, ends)
+        cum_positives = array("Q", accumulate(map(self.flags.__getitem__, order), initial=0))
+        del order  # n boxed indices, freed before the group columns are built
+        # starts[k]: a group starts at rank k, the first score or one unequal to the one above
+        starts = [True, *map(ne, islice(scores, 1, None), scores)]
+        ends = array("Q", compress(count(1), islice(starts, 1, None)))
+        ends.append(len(scores))
+        return Ranking(scores, cum_positives, ends, tuple(compress(scores, starts)))
 
 
 @dataclass(frozen=True)
@@ -438,14 +442,16 @@ def load_scored_csv(source, label_column: str, score_column: str,
         si = _column_index(header, score_column)
         cells = itemgetter(li, si)
         isfinite = math.isfinite
-        raw_labels, scores, dropped, number = [], [], 0, 0
+        # one of two shared strings per row; the raw labels are kept once each
+        labels, scores, distinct, dropped, number = [], [], set(), 0, 0
         try:
             for number, row in enumerate(rows, start=1):
                 try:
                     label, cell = cells(row)
                     score = float(cell)
                     if isfinite(score):
-                        raw_labels.append(label)
+                        distinct.add(label)
+                        labels.append(POSITIVE if label == positive_label else NEGATIVE)
                         scores.append(score)
                         continue
                 except (IndexError, ValueError):
@@ -462,8 +468,8 @@ def load_scored_csv(source, label_column: str, score_column: str,
                     dropped += 1
         except (csv.Error, UnicodeDecodeError) as exc:
             raise _read_error(exc, f"row {number + 1}", raw) from None
-    _check_kept(raw_labels, dropped, warnings)
-    distinct = sorted(set(raw_labels))
+    _check_kept(labels, dropped, warnings)
+    distinct = sorted(distinct)
     if len(distinct) > 2:
         raise SchemaError(
             f"label column {label_column!r} has {len(distinct)} distinct values "
@@ -475,7 +481,6 @@ def load_scored_csv(source, label_column: str, score_column: str,
         warnings.append(
             f"single label {distinct[0]!r} differs from positive label "
             f"{positive_label!r}; all rows treated as negative")
-    labels = [POSITIVE if l == positive_label else NEGATIVE for l in raw_labels]
     return ScoredBinarySet(labels, scores)
 
 

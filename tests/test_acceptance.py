@@ -178,6 +178,10 @@ def test_criterion_5_definedness_catalog(random_series_10k):
         assert f_beta(ConfusionMatrix2(tp=0, fp=2, fn=3, tn=1),
                       1.0).reason == "zero_precision_recall"
 
+        # ranking reasons: a subnormal lift fraction sends share / fraction to inf
+        ranked = ScoredBinarySet([True, False, True], [0.9, 0.5, 0.1])
+        assert lift(ranked, 1e-310).reason == "overflow"
+
         # randomized sweep that avoids every trigger: nothing may be undefined
         for series in random_series_10k:
             report = regression_report(series, METRIC_IDS).metrics
@@ -197,6 +201,11 @@ def test_criterion_5_definedness_catalog(random_series_10k):
                                         (matrix.fn, matrix.tp)))
             assert cohen_kappa(kmatrix).is_defined
             assert balanced_accuracy(kmatrix).is_defined
+        for _ in range(200):
+            n = rng.randint(2, 40)
+            flags = [True] + [rng.random() < 0.3 for _ in range(n - 1)]
+            data = ScoredBinarySet(flags, [rng.random() for _ in range(n)])
+            assert lift(data, rng.uniform(1e-6, 1.0)).is_defined
 
 
 def test_criterion_6_multi_criteria_validation():

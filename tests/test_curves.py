@@ -11,7 +11,7 @@ from _oracles import (pairwise_auc, reference_auc, reference_average_precision,
 from modeval.curves import (CalibrationReport, auc, average_precision,
                             break_even_point, calibration_error, lift, pr_curve,
                             roc_curve)
-from modeval.dataset import ScoredBinarySet
+from modeval.dataset import MetricValue, ScoredBinarySet
 from modeval.errors import DataError, DefinednessError, UsageError
 
 
@@ -204,6 +204,19 @@ class TestBreakEven:
         assert value == pytest.approx(expected, rel=1e-12)
         assert 0.0 <= value <= 1.0
 
+    def test_gap_reaching_zero_after_a_positive_gap_is_interpolated(self):
+        # PR points (1/3, 1), (5/6, 5/6), (1, 6/7): the gap falls from positive
+        # to exactly zero, which counts as a crossing of the segment before the
+        # zero point, as it always has; interpolating it gives 1/3 + 1.0 * (5/6
+        # - 1/3), one ulp below the zero point's own recall of 5/6
+        data = ScoredBinarySet([True, True, True, True, True, False, True],
+                               [0.9, 0.9, 0.5, 0.5, 0.5, 0.5, 0.1])
+        recall = pr_curve(data).recall
+        assert list(recall) == [2 / 6, 5 / 6, 1.0]
+        expected = 2 / 6 + 1.0 * (5 / 6 - 2 / 6)
+        assert expected != 5 / 6
+        assert break_even_point(pr_curve(data)).value.hex() == expected.hex()
+
 
 class TestLift:
     def test_perfect_ranking_half(self):
@@ -356,12 +369,11 @@ class TestRankingOracle:
         assert _hex(break_even_point(curve).value) == \
             _hex(reference_break_even(reference))
         value, tie_flags = reference_lift(flags, scores, fraction)
+        mv = lift(data, fraction)
         if math.isfinite(value):
-            mv = lift(data, fraction)
             assert (mv.value.hex(), mv.flags) == (value.hex(), tie_flags)
         else:
-            with pytest.raises(DataError, match="finite"):
-                lift(data, fraction)
+            assert mv == MetricValue.undefined("LIFT", "overflow")
 
     @settings(max_examples=60, deadline=None)
     @given(scored_sets(100))

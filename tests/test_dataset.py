@@ -505,3 +505,15 @@ class TestScoredBinarySetCache:
         assert data.flags is data.flags
         assert data.flags == (True, False, True)
         assert data.positive_count == 2 and data.negative_count == 1
+
+    def test_ranking_columns_and_the_sign_of_a_zero_group(self):
+        data = ScoredBinarySet([True, False, True, True, False], [0.5, -0.0, 0.9, 0.0, 0.5])
+        ranking = data.ranking
+        assert ranking is data.ranking
+        assert ranking.scores == (0.9, 0.5, 0.5, -0.0, 0.0)
+        assert list(ranking.cum_positives) == [0, 1, 2, 2, 2, 3]
+        assert list(ranking.ends) == [1, 3, 5]
+        # each threshold is the set's own float for its group's first member,
+        # so the -0.0-led zero group keeps its sign
+        assert all(t is data.scores[i] for t, i in zip(ranking.thresholds, (2, 0, 1)))
+        assert math.copysign(1.0, ranking.thresholds[-1]) == -1.0
