@@ -61,6 +61,17 @@ EXTRA_RUNS = {
         "curves", "--kind", "pr", "--input", str(FIXTURES / "ties.csv"),
         "--label-col", "label", "--score-col", "score", "--positive", "pos",
         "--lift-fraction", "0.08", "--cal", "--emit-points", POINTS),
+    "curves_roc_lift_cal_ties": (
+        "curves", "--kind", "roc", "--input", str(FIXTURES / "ties.csv"),
+        "--label-col", "label", "--score-col", "score", "--positive", "pos",
+        "--lift-fraction", "0.5", "--cal"),
+    # R2 = 0: M_INDEX and N_INDEX are undefined and the pass flags print False
+    "validate_tropsha_uncorrelated_table": (
+        "validate", "--check", "tropsha", "--input", str(FIXTURES / "uncorrelated.csv"),
+        "--format", "table"),
+    "validate_adequacy_above_table": (
+        "validate", "--check", "adequacy", "--observations", "100", "--parameters", "12",
+        "--format", "table"),
 }
 
 # Every snapshot under fixtures/golden, by file stem.

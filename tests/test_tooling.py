@@ -41,17 +41,64 @@ def test_traced_loaders_count_rows():
     assert (recorder.rows_in, recorder.rows_dropped) == (2 + scored_rows, 1)
 
 
-def test_regress_imports_only_its_own_family():
+_SCORED = ("--label-col", "label", "--score-col", "score", "--positive", "pos")
+
+
+@pytest.mark.parametrize("argv, family, absent", [
+    (("regress", "--input", FIXTURES / "f1.csv", "--actual-col", "a", "--predicted-col", "p"),
+     "regression", {"classification", "curves", "validation", "fractions"}),
+    (("classify", "--input", FIXTURES / "c1.csv", *_SCORED),
+     "classification", {"curves", "validation", "regression"}),
+    (("curves", "--kind", "roc", "--input", FIXTURES / "s1.csv", *_SCORED),
+     "curves", {"classification", "validation", "regression", "fractions"}),
+    (("validate", "--check", "objective", "--train", FIXTURES / "model_a.csv",
+      "--validation", FIXTURES / "model_b.csv"),
+     "validation", {"classification", "curves"}),
+], ids=["regress", "classify", "curves", "validate"])
+def test_command_imports_only_its_own_family(argv, family, absent):
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "modeval.cli", "regress", "--input",
-         str(FIXTURES / "f1.csv"), "--actual-col", "a", "--predicted-col", "p"],
+        [sys.executable, "-X", "importtime", "-m", "modeval.cli", *map(str, argv)],
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "modeval.regression" in imported
-    assert not imported & {"modeval.classification", "modeval.curves",
-                           "modeval.validation", "fractions"}
+    assert f"modeval.{family}" in imported
+    absent = {name if name == "fractions" else f"modeval.{name}" for name in absent}
+    assert not imported & absent
+
+
+_MODELS = ("--model", f"a={FIXTURES / 'model_a.csv'}", "--model", f"b={FIXTURES / 'model_b.csv'}")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (("curves", "--kind", "roc", "--input", FIXTURES / "ties.csv", *_SCORED,
+      "--lift-fraction", "0.5", "--cal"),
+     {"dataset.load_scored_csv": 1, "curves.roc_curve": 1, "curves.auc": 1,
+      "curves.lift": 1, "curves.calibration_error": 1}),
+    (("curves", "--kind", "pr", "--input", FIXTURES / "s1.csv", *_SCORED),
+     {"dataset.load_scored_csv": 1, "curves.pr_curve": 1, "curves.break_even_point": 1}),
+    (("validate", "--check", "tropsha", "--input", FIXTURES / "perfect.csv"),
+     {"dataset.load_paired_csv": 1, "validation.tropsha_criteria": 1, "stats.sum_sq_dev": 2}),
+    (("validate", "--check", "rm", "--input", FIXTURES / "model_a.csv"),
+     {"dataset.load_paired_csv": 1, "validation.roy_rm": 1, "validation.tropsha_criteria": 1,
+      "stats.sum_sq_dev": 2}),
+    (("validate", "--check", "objective", "--train", FIXTURES / "model_a.csv",
+      "--validation", FIXTURES / "model_b.csv"),
+     {"dataset.load_paired_csv": 2, "validation.gandomi_objective": 1, "stats.sum_sq_dev": 4}),
+    (("validate", "--check", "ri", *_MODELS),
+     {"dataset.load_paired_csv": 2, "validation.reference_index": 1}),
+    (("validate", "--check", "adequacy", "--observations", "10", "--parameters", "3"), {}),
+], ids=["roc_lift_cal", "pr", "tropsha", "rm", "objective", "ri", "adequacy"])
+def test_traced_span_counts(capsys, argv, calls):
+    # a metric table that held a function object instead of looking it up at
+    # call time would hide that function's span from the trace
+    from modeval import cli
+
+    tracing = _tracing()
+    with tracing.traced(tracing.Recorder()) as recorder:
+        assert cli.main(list(map(str, argv))) == 0
+    capsys.readouterr()
+    assert dict(recorder.calls) == {"cli.main": 1, **calls}
 
 
 @pytest.mark.parametrize("argv", [
