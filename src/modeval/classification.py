@@ -24,7 +24,7 @@ from operator import add, sub, truediv
 
 from .dataset import (NEGATIVE, POSITIVE, ConfusionMatrix2, ConfusionMatrixK, Metric,
                       MetricValue, PairedSeries, ScoredBinarySet,
-                      _check_probabilities, select_metrics)
+                      _check_probabilities)
 from .errors import DataError, UsageError
 
 CLAMP_EPSILON = 1e-15
@@ -258,24 +258,34 @@ def hinge_loss(data: ScoredBinarySet) -> MetricValue:
 
 
 def _distance(metric_id: str, data: PairedSeries, denominators) -> MetricValue:
-    """sum(|A_i - P_i| / d_i) over the given denominators; undefined when one is zero."""
-    if 0.0 in denominators:
-        return MetricValue.undefined(metric_id, "zero_denominator")
+    """sum(|A_i - P_i| / d_i); undefined when a d_i is zero.
+
+    ``denominators`` makes a fresh iterator of the d_i on each call, so no
+    list of them is held. One pass divides and sums; a zero d_i stops it.
+    """
     gaps = map(abs, map(sub, data.actual, data.predicted))
+    try:
+        total = fsum(map(truediv, gaps, denominators()))
+    except ZeroDivisionError:  # x / 0.0 raises for every x, 0.0 included
+        return MetricValue.undefined(metric_id, "zero_denominator")
+    except OverflowError:
+        # the sum overflowed before the pass reached a zero d_i, which decides
+        if 0.0 in denominators():
+            return MetricValue.undefined(metric_id, "zero_denominator")
+        raise
     negative = min(data.actual) < 0 or min(data.predicted) < 0
-    return MetricValue.defined(metric_id, fsum(map(truediv, gaps, denominators)),
-                               flags=("negative_inputs",) if negative else ())
+    return MetricValue.defined(metric_id, total, flags=("negative_inputs",) if negative else ())
 
 
 def canberra(data: PairedSeries) -> MetricValue:
     """Canberra distance between the actual and predicted vectors (a sum)."""
-    return _distance("CM", data, tuple(map(add, map(abs, data.actual),
-                                           map(abs, data.predicted))))
+    return _distance("CM", data, lambda: map(add, map(abs, data.actual),
+                                             map(abs, data.predicted)))
 
 
 def wave_hedges(data: PairedSeries) -> MetricValue:
     """Wave Hedges distance; each gap is normalized by the pairwise maximum."""
-    return _distance("WHD", data, tuple(map(max, data.actual, data.predicted)))
+    return _distance("WHD", data, lambda: map(max, data.actual, data.predicted))
 
 
 def probability_matrix_from_scores(data: ScoredBinarySet) -> ProbabilityMatrix:
@@ -329,6 +339,10 @@ class ThresholdContext:
                             self.data.scores)
 
 
+# The tally itself, reported ahead of the requested metrics.
+COUNTS = {name: Metric(name, lambda c, count=name.lower(): getattr(c.matrix, count), "")
+          for name in ("TP", "FP", "FN", "TN")}
+
 _F_BETA_NOTE = "F_beta = (1 + b^2)*TP / ((1 + b^2)*TP + b^2*FN + FP)"
 _ON_INDICATORS = " [on (indicator label, score) pairs]"
 
@@ -353,7 +367,7 @@ METRICS = {m.id: m for m in (
     Metric("BM", lambda c: informedness_markedness(c.matrix)[0], "BM = TPR + TNR - 1"),
     Metric("MK", lambda c: informedness_markedness(c.matrix)[1], "MK = PPV + NPV - 1"),
     Metric("ACA", lambda c: average_class_accuracy(c.matrix, c.aca_weight),
-           "ACA = w*TPR + (1 - w)*TNR  [weighted per-class recall] [w = {w}]"),
+           "ACA = w*TPR + (1 - w)*TNR  [weighted per-class recall] [w = {aca_weight:g}]"),
     Metric("BACC", lambda c: balanced_accuracy(c.kmatrix),
            "BACC = mean of per-class recall (empty classes excluded)"),
     Metric("KAPPA", lambda c: cohen_kappa(c.kmatrix), "kappa = (p_o - p_e) / (1 - p_e)"),
@@ -372,11 +386,3 @@ METRICS = {m.id: m for m in (
            + _ON_INDICATORS),
 )}
 
-
-def threshold_report(ctx: ThresholdContext, ids) -> list[tuple[MetricValue, str]]:
-    """(value, formula note) for each requested id, in catalog order.
-
-    A ``{w}`` in a note stands for the ACA weight in use.
-    """
-    return [(m.fn(ctx), m.note.replace("{w}", f"{ctx.aca_weight:g}"))
-            for m in select_metrics(METRICS, ids, "classification")]

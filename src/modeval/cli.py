@@ -10,6 +10,14 @@ Exit codes: 0 success, 1 usage error, 2 data/schema error, 3 when --strict
 sees an undefined requested metric. Diagnostics go to stderr, reports to
 stdout.
 
+Every subcommand runs one path: it loads its inputs, builds its family's
+context and hands a table of ``Metric`` entries, the context and the
+requested ids to ``dataset.evaluate``; ``_report`` turns the values into
+entries. A MetricValue renders with its status; a fact (a count, pass flag,
+verdict or ranking) renders as a defined plain value; a list gives one entry
+per item. A ``{name}`` or ``{name:spec}`` in a note is filled from the
+context. No subcommand names a metric id or a note.
+
 Each subcommand imports its metric family when it runs, so a process loads
 only the modules its own subcommand needs.
 """
@@ -20,12 +28,13 @@ import argparse
 import hashlib
 import io
 import json
-import math
+import re
 import sys
+from dataclasses import fields
 
 from . import __version__
-from .dataset import (MetricValue, confusion_from_scores, load_paired_csv,
-                      load_scored_csv)
+from .dataset import (DEFINED, MetricValue, confusion_from_scores, evaluate,
+                      load_paired_csv, load_scored_csv)
 from .errors import DataError, SchemaError, UsageError
 
 EXIT_OK = 0
@@ -105,22 +114,34 @@ class _Inputs:
                           args.positive, **options)
 
 
-def _entry(mv: MetricValue, note: str) -> dict:
-    out = {"id": mv.id, "value": mv.value, "status": mv.status}
-    if mv.reason is not None:
-        out["reason"] = mv.reason
-    if mv.dropped_terms:
-        out["dropped_terms"] = mv.dropped_terms
-    if mv.flags:
-        out["flags"] = list(mv.flags)
+# A placeholder in a formula note: {name} or {name:spec}, name an identifier.
+# Other braces, such as recall_{n-1}, are literal.
+_PLACEHOLDER = re.compile(r"\{([A-Za-z_]\w*)(?::([^{}]*))?\}")
+
+
+def _entry(entry_id: str, value, note: str) -> dict:
+    if not isinstance(value, MetricValue):  # a fact: count, flag, verdict or ranking
+        return {"id": entry_id, "value": value, "status": DEFINED, "formula_note": note}
+    out = {"id": value.id, "value": value.value, "status": value.status}
+    if value.reason is not None:
+        out["reason"] = value.reason
+    if value.dropped_terms:
+        out["dropped_terms"] = value.dropped_terms
+    if value.flags:
+        out["flags"] = list(value.flags)
     out["formula_note"] = note
     return out
 
 
-def _plain_entry(entry_id: str, value, note: str = "") -> dict:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DataError(f"{entry_id}: a defined metric must carry a finite value")
-    return {"id": entry_id, "value": value, "status": "defined", "formula_note": note}
+def _report(table: dict, values: dict, ctx=None) -> list:
+    """Report entries for a table's evaluated values, each note filled from ``ctx``."""
+    entries = []
+    for entry_id, value in values.items():
+        note = _PLACEHOLDER.sub(lambda m: format(getattr(ctx, m[1]), m[2] or ""),
+                                table[entry_id].note)
+        entries += [_entry(entry_id, v, note)
+                    for v in (value if isinstance(value, list) else (value,))]
+    return entries
 
 
 def _render_table(doc) -> str:
@@ -171,23 +192,24 @@ def _cmd_regress(args, inputs: _Inputs) -> list:
                          drop_bad_rows=args.drop_bad_rows)
     report = regression.regression_report(data, _metric_ids(args.metrics, regression.METRICS),
                                           skip_undefined_terms=args.skip_undefined_terms)
-    return [_entry(mv, regression.METRICS[i].note) for i, mv in report.metrics.items()]
+    return _report(regression.METRICS, report.metrics)
 
 
 def _cmd_classify(args, inputs: _Inputs) -> list:
     from . import classification
 
     data = inputs.scored(args, drop_bad_rows=args.drop_bad_rows)
-    ids = _metric_ids(args.metrics, classification.METRICS)
-    matrix = confusion_from_scores(data, args.threshold)
-    ctx = classification.ThresholdContext(data, matrix, args.aca_weight)
-    counts = [_plain_entry(name, getattr(matrix, name.lower()))
-              for name in ("TP", "FP", "FN", "TN")]
-    return counts + [_entry(mv, note)
-                     for mv, note in classification.threshold_report(ctx, ids)]
+    table = classification.METRICS
+    ids = _metric_ids(args.metrics, table)
+    ctx = classification.ThresholdContext(data, confusion_from_scores(data, args.threshold),
+                                          args.aca_weight)
+    return (_report(classification.COUNTS, evaluate(classification.COUNTS, ctx))
+            + _report(table, evaluate(table, ctx, ids, "classification"), ctx))
 
 
-def _write_points(path: str, xs, ys, thresholds) -> None:
+def _write_points(path: str, curve) -> None:
+    # a curve's fields are its x, y and threshold columns, in that order
+    xs, ys, thresholds = (getattr(curve, field.name) for field in fields(curve))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,x,y\n")
         fh.writelines(f"{threshold!r},{x!r},{y!r}\n"
@@ -197,86 +219,46 @@ def _write_points(path: str, xs, ys, thresholds) -> None:
 def _cmd_curves(args, inputs: _Inputs) -> list:
     from . import curves
 
-    data = inputs.scored(args)
-    notes = curves.FORMULA_NOTES
-    if args.kind == "roc":
-        curve = curves.roc_curve(data)
-        columns = (curve.fpr, curve.tpr, curve.thresholds)
-        entries = [_entry(curves.auc(curve), notes["AUC"])]
-    else:
-        curve = curves.pr_curve(data)
-        columns = (curve.recall, curve.precision, curve.thresholds)
-        entries = [_entry(curves.curve_average_precision(curve), notes["AP"]),
-                   _entry(curves.break_even_point(curve), notes["BREAK_EVEN"])]
-    if args.lift_fraction is not None:
-        entries.append(_entry(curves.lift(data, args.lift_fraction),
-                              notes["LIFT"] + f" [fraction = {args.lift_fraction:g}]"))
-    if args.cal:
-        report = curves.calibration_error(data)
-        entries.append(_plain_entry(
-            "CAL", report.cal, notes["CAL"] + f" [{len(report.window_errors)} windows]"))
+    ctx = curves.CurveContext(inputs.scored(args), args.kind, args.lift_fraction, args.cal)
+    entries = _report(curves.METRICS, evaluate(curves.METRICS, ctx, ctx.ids, "curves"), ctx)
     if args.emit_points:
-        _write_points(args.emit_points, *columns)
+        _write_points(args.emit_points, ctx.curve)
     return entries
 
 
-_CHECK_NEEDS = {"tropsha": ("input",), "rm": ("input",),
-                "adequacy": ("observations", "parameters"),
-                "objective": ("train", "validation"), "ri": ()}
+def _check_input(name: str, args, inputs: _Inputs):
+    """What a validation check reads from the flag ``name``: a file flag's
+    series, the --model flags' (name, series) pairs in flag order, or a count."""
+    value = getattr(args, name)
+    if name in ("input", "train", "validation"):
+        return inputs.paired(value, args)
+    if name != "model":
+        return value
+    if len(value) < 2:
+        raise UsageError(f"--check {args.check} requires at least two --model NAME=PATH flags")
+    models = []
+    for model_arg in value:
+        model, sep, path = model_arg.partition("=")
+        if not sep or not model or not path:
+            raise UsageError(f"--model expects NAME=PATH, got {model_arg!r}")
+        models.append((model, inputs.paired(path, args)))
+    return models
 
 
 def _cmd_validate(args, inputs: _Inputs) -> list:
     from . import validation
 
-    missing = [f"--{n.replace('_', '-')}" for n in _CHECK_NEEDS[args.check]
-               if getattr(args, n) is None]
+    check = validation.CHECKS[args.check]
+    missing = [f"--{name}" for name in check.needs if getattr(args, name) is None]
     if missing:
         raise UsageError(f"--check {args.check} requires {', '.join(missing)}")
-    note = validation.FORMULA_NOTES
-    if args.check == "tropsha":
-        rep = validation.tropsha_criteria(inputs.paired(args.input, args))
-        entries = [_plain_entry("R2", rep.r2, note["TROPSHA"]),
-                   _plain_entry("K", rep.k), _plain_entry("K_PRIME", rep.k_prime),
-                   _plain_entry("RO2", rep.ro2), _plain_entry("RO2_PRIME", rep.ro2_prime)]
-        for entry_id, value in (("M_INDEX", rep.m_index), ("N_INDEX", rep.n_index)):
-            if value is None:
-                entries.append(_entry(MetricValue.undefined(entry_id, "zero_denominator"), ""))
-            else:
-                entries.append(_plain_entry(entry_id, value))
-        entries += [_plain_entry(flag, getattr(rep, flag.lower()), note[flag])
-                    for flag in ("PASS_K", "PASS_M", "PASS_N")]
-        return entries + [_plain_entry("OVERALL_PASS", rep.overall_pass)]
-    if args.check == "rm":
-        rep = validation.roy_rm(inputs.paired(args.input, args))
-        return [_plain_entry("RM", rep.rm, note["RM"]),
-                _plain_entry("R2", rep.r2), _plain_entry("RO2", rep.ro2),
-                _plain_entry("PASS_RM", rep.passed, note["PASS_RM"])]
-    if args.check == "adequacy":
-        inputs.hasher.update(f"observations={args.observations},"
-                             f"parameters={args.parameters}".encode())
-        rep = validation.data_adequacy_ratio(args.observations, args.parameters)
-        return [_plain_entry("RATIO", rep.ratio, note["ADEQUACY"]),
-                _plain_entry("VERDICT", rep.verdict),
-                _plain_entry("ADEQUATE", rep.adequate)]
-    if args.check == "objective":
-        train = inputs.paired(args.train, args)
-        holdout = inputs.paired(args.validation, args)
-        return [_entry(validation.gandomi_objective(train, holdout), note["OBJ"])]
-    models = args.model or []
-    if len(models) < 2:
-        raise UsageError("--check ri requires at least two --model NAME=PATH flags")
-    pairs = []
-    for model_arg in models:
-        name, sep, path = model_arg.partition("=")
-        if not sep or not name or not path:
-            raise UsageError(f"--model expects NAME=PATH, got {model_arg!r}")
-        pairs.append((name, inputs.paired(path, args)))
-    ranking = validation.reference_index(pairs)
-    if ranking.tied_columns:
-        inputs.warnings.append("tied metric column(s): " + ",".join(ranking.tied_columns))
-    order = [ranking.model_ids[i] for i in ranking.ranking]
-    return [_plain_entry(f"RI[{ranking.model_ids[i]}]", ranking.ri[i], note["RI"])
-            for i in ranking.ranking] + [_plain_entry("RANKING", ",".join(order))]
+    # a count joins the digest as text, a file as the bytes it holds
+    inputs.hasher.update(",".join(f"{name}={getattr(args, name)}" for name in check.needs
+                                  if isinstance(getattr(args, name), int)).encode())
+    ctx = validation.ValidationContext(
+        **{name: _check_input(name, args, inputs) for name in check.needs},
+        warnings=inputs.warnings)
+    return _report(check.table, evaluate(check.table, ctx), ctx)
 
 
 def build_parser() -> _Parser:
@@ -320,7 +302,8 @@ def build_parser() -> _Parser:
 
     validate = sub.add_parser("validate", parents=[output],
                               help="multi-criteria model validation")
-    validate.add_argument("--check", required=True, choices=tuple(_CHECK_NEEDS))
+    validate.add_argument("--check", required=True,
+                          choices=("tropsha", "rm", "adequacy", "objective", "ri"))
     validate.add_argument("--input")
     validate.add_argument("--actual-col", default="actual")
     validate.add_argument("--predicted-col", default="predicted")
@@ -328,7 +311,7 @@ def build_parser() -> _Parser:
     validate.add_argument("--parameters", type=int)
     validate.add_argument("--train")
     validate.add_argument("--validation")
-    validate.add_argument("--model", action="append", metavar="NAME=PATH")
+    validate.add_argument("--model", action="append", default=[], metavar="NAME=PATH")
     validate.set_defaults(func=_cmd_validate)
 
     return parser

@@ -7,6 +7,8 @@ Tie handling: equal scores collapse into a single curve vertex (a diagonal
 ROC step), which makes the trapezoidal AUC equal the pairwise ranking
 probability with ties counted as one half. That equivalence is this module's
 core oracle test.
+
+``METRICS`` holds the entries the CLI reports, over a ``CurveContext``.
 """
 
 from __future__ import annotations
@@ -14,27 +16,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from math import fsum
 from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
-from .dataset import MetricValue, ScoredBinarySet, _check_probabilities
+from .dataset import Metric, MetricValue, ScoredBinarySet, _check_probabilities
 from .errors import DataError, DefinednessError, UsageError
 
 CAL_WINDOW_SIZE = 100
-
-FORMULA_NOTES = {
-    "AUC": "AUC = trapezoidal area under the ROC curve "
-           "[equals pairwise ranking probability, ties counted 1/2]",
-    "AP": "AP = sum((recall_n - recall_{n-1}) * precision_n), recall_0 = 0",
-    "BREAK_EVEN": "BREAK_EVEN = interpolated value where precision == recall "
-                  "(first crossing along increasing recall)",
-    "LIFT": "LIFT = (share of all positives in the top ceil(fraction*n) scores) "
-            "/ fraction",
-    "CAL": "CAL = mean over sliding windows of 100 score-sorted cases of "
-           "|positive frequency - mean score|",
-}
 
 
 class RocPoint(NamedTuple):
@@ -225,3 +216,53 @@ def calibration_error(data: ScoredBinarySet) -> CalibrationReport:
                   fsum(scores[start:start + CAL_WINDOW_SIZE]) / CAL_WINDOW_SIZE)
               for start in range(n - CAL_WINDOW_SIZE + 1)]
     return CalibrationReport(tuple(errors), fsum(errors) / len(errors))
+
+
+class CurveContext:
+    """A scored set, its sweep of one kind (``roc`` or ``pr``) and the options
+    of the metrics on it. The sweep and the calibration report are computed on
+    first use and kept."""
+
+    def __init__(self, data: ScoredBinarySet, kind: str,
+                 lift_fraction: float | None = None, cal: bool = False):
+        self.data, self.kind, self.lift_fraction, self.cal = data, kind, lift_fraction, cal
+
+    @cached_property
+    def curve(self) -> RocCurve | PrCurve:
+        return roc_curve(self.data) if self.kind == "roc" else pr_curve(self.data)
+
+    @cached_property
+    def calibration(self) -> CalibrationReport:
+        return calibration_error(self.data)
+
+    @property
+    def cal_windows(self) -> int:
+        return len(self.calibration.window_errors)
+
+    @property
+    def ids(self) -> list[str]:
+        """The kind's own metrics, then LIFT and CAL when their options ask for them."""
+        ids = ["AUC"] if self.kind == "roc" else ["AP", "BREAK_EVEN"]
+        if self.lift_fraction is not None:
+            ids.append("LIFT")
+        if self.cal:
+            ids.append("CAL")
+        return ids
+
+
+METRICS = {m.id: m for m in (
+    Metric("AUC", lambda c: auc(c.curve),
+           "AUC = trapezoidal area under the ROC curve "
+           "[equals pairwise ranking probability, ties counted 1/2]"),
+    Metric("AP", lambda c: curve_average_precision(c.curve),
+           "AP = sum((recall_n - recall_{n-1}) * precision_n), recall_0 = 0"),
+    Metric("BREAK_EVEN", lambda c: break_even_point(c.curve),
+           "BREAK_EVEN = interpolated value where precision == recall "
+           "(first crossing along increasing recall)"),
+    Metric("LIFT", lambda c: lift(c.data, c.lift_fraction),
+           "LIFT = (share of all positives in the top ceil(fraction*n) scores) "
+           "/ fraction [fraction = {lift_fraction:g}]"),
+    Metric("CAL", lambda c: MetricValue.defined("CAL", c.calibration.cal),
+           "CAL = mean over sliding windows of 100 score-sorted cases of "
+           "|positive frequency - mean score| [{cal_windows} windows]"),
+)}

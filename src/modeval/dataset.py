@@ -85,7 +85,11 @@ class Metric:
 
     ``fn`` maps the family's shared context to the metric's MetricValue; the
     context computes each statistic that several metrics share on first use.
-    ``note`` is the exact formula variant, reported as ``formula_note``.
+    A fact that is no metric (a count, a pass flag, a verdict) is returned as
+    the plain value, and an entry with one value per model as a list of
+    MetricValues. ``note`` is the exact formula variant, reported as
+    ``formula_note``; a ``{name}`` or ``{name:spec}`` in it, with ``name`` an
+    identifier, stands for the context's attribute of that name.
     """
 
     id: str
@@ -93,15 +97,21 @@ class Metric:
     note: str
 
 
-def select_metrics(table: dict, ids, family: str) -> list[Metric]:
-    """The entries of ``table`` for the requested ids, in catalog order."""
-    requested = set(ids)
-    if not requested:
-        raise UsageError(f"at least one {family} metric id is required")
-    unknown = sorted(requested - set(table))
-    if unknown:
-        raise UsageError(f"unknown {family} metric id(s): {', '.join(unknown)}")
-    return [m for metric_id, m in table.items() if metric_id in requested]
+def evaluate(table: dict, ctx, ids=None, family: str = "") -> dict:
+    """Each requested entry's value on ``ctx``, by id in catalog order.
+
+    ``ids=None`` requests the whole table; otherwise an empty request or an
+    id the table lacks is a UsageError naming the ``family``.
+    """
+    if ids is not None:
+        requested = set(ids)
+        if not requested:
+            raise UsageError(f"at least one {family} metric id is required")
+        unknown = sorted(requested - set(table))
+        if unknown:
+            raise UsageError(f"unknown {family} metric id(s): {', '.join(unknown)}")
+        table = {metric_id: m for metric_id, m in table.items() if metric_id in requested}
+    return {metric_id: m.fn(ctx) for metric_id, m in table.items()}
 
 
 def _check_finite(values, name):

@@ -36,7 +36,7 @@ from math import fsum
 from operator import add, mul, not_, sub, truediv
 
 from ._stats import sum_abs_dev, sum_sq_dev
-from .dataset import Metric, MetricValue, PairedSeries, select_metrics
+from .dataset import Metric, MetricValue, PairedSeries, evaluate
 from .errors import UsageError
 
 
@@ -314,7 +314,6 @@ def regression_report(data: PairedSeries, ids, *,
     Results are keyed by id and ordered by catalog order regardless of the
     order ids were supplied in.
     """
-    selected = select_metrics(METRICS, ids, "regression")
     ctx = SeriesContext(data, skip_undefined_terms)
-    return RegressionReport(metrics={m.id: m.fn(ctx) for m in selected}, n=ctx.n,
+    return RegressionReport(metrics=evaluate(METRICS, ctx, ids, "regression"), n=ctx.n,
                             a_mean=ctx.a_mean)

@@ -8,15 +8,21 @@ ranking candidate models.
 R-squared here is the squared Pearson correlation of actuals and predictions,
 which requires both series to be non-constant; degenerate inputs raise
 DefinednessError rather than returning a number.
+
+``CHECKS`` names, for each check, the CLI flags it reads and its table of
+entries over a ``ValidationContext``. A number is reported as a MetricValue,
+a pass flag, verdict or ranking as the plain value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
+from typing import NamedTuple
 
-from .dataset import MetricValue, PairedSeries
+from .dataset import Metric, MetricValue, PairedSeries
 from .errors import DefinednessError, UsageError
 from .regression import METRICS, SeriesContext
 
@@ -30,25 +36,6 @@ SLOPE_RANGE = (0.85, 1.15)
 INDEX_LIMIT = 0.1
 RM_THRESHOLD = 0.5
 ADEQUACY_RANGE = (3.0, 5.0)
-
-FORMULA_NOTES = {
-    "TROPSHA": "k = sum(A*P)/sum(P^2); k' = sum(A*P)/sum(A^2); "
-               "Ro2 = 1 - sum((P - k*P)^2)/sum((P - mean(P))^2); "
-               "Ro2' = 1 - sum((A - k'*A)^2)/sum((A - mean(A))^2); "
-               "m = (R2 - Ro2)/R2; n = (R2 - Ro2')/R2; R2 = squared Pearson R",
-    "PASS_K": f"{SLOPE_RANGE[0]:g} <= k <= {SLOPE_RANGE[1]:g} or "
-              f"{SLOPE_RANGE[0]:g} <= k' <= {SLOPE_RANGE[1]:g}",
-    "PASS_M": f"|m| < {INDEX_LIMIT:g}",
-    "PASS_N": f"|n| < {INDEX_LIMIT:g}",
-    "RM": f"Rm = R2 * (1 - sqrt(|R2 - Ro2|)); good fit when Rm > {RM_THRESHOLD:g}",
-    "PASS_RM": f"Rm > {RM_THRESHOLD:g}",
-    "ADEQUACY": "ratio = observations / parameters; adequate when ratio >= {0:g} "
-                "({0:g} to {1:g} is the recommended band)".format(*ADEQUACY_RANGE),
-    "OBJ": "OBJ = ((Nt - Nv)/(Nt + Nv)) * (RMSE_t + MAE_t)/R2_t "
-           "+ (2*Nv/(Nt + Nv)) * (RMSE_v + MAE_v)/R2_v; lower is better",
-    "RI": "RI = mean of min-max normalized (RMSE, MAE, MAPE) across the model "
-          "set; lower is better; zero-range columns normalize to 0",
-}
 
 
 @dataclass(frozen=True)
@@ -252,3 +239,107 @@ def reference_index(models) -> RiRanking:
         ids.append(str(model_id))
         triples.append(tuple(triple))
     return reference_index_from_metrics(ids, triples)
+
+
+class ValidationContext:
+    """A check's inputs, each named after the CLI flag that gives it, and the
+    reports its entries read, each computed on first use and kept. ``model``
+    holds (model id, PairedSeries) pairs; a tie that the reference index finds
+    goes to ``warnings`` when a list is given."""
+
+    def __init__(self, input: PairedSeries | None = None, train: PairedSeries | None = None,
+                 validation: PairedSeries | None = None, model=(),
+                 observations: int | None = None, parameters: int | None = None,
+                 warnings: list | None = None):
+        self.input, self.train, self.validation, self.model = input, train, validation, model
+        self.observations, self.parameters, self.warnings = observations, parameters, warnings
+
+    @cached_property
+    def tropsha(self) -> TropshaReport:
+        return tropsha_criteria(self.input)
+
+    @cached_property
+    def rm(self) -> RmReport:
+        return roy_rm(self.input)
+
+    @cached_property
+    def adequacy(self) -> AdequacyReport:
+        return data_adequacy_ratio(self.observations, self.parameters)
+
+    @cached_property
+    def ri(self) -> RiRanking:
+        ranking = reference_index(self.model)
+        if ranking.tied_columns and self.warnings is not None:
+            self.warnings.append("tied metric column(s): " + ",".join(ranking.tied_columns))
+        return ranking
+
+
+def _number(metric_id: str, value: float | None) -> MetricValue:
+    """A report's number; a None one had a zero denominator."""
+    if value is None:
+        return MetricValue.undefined(metric_id, "zero_denominator")
+    return MetricValue.defined(metric_id, value)
+
+
+def _ranked(ri: RiRanking) -> list[MetricValue]:
+    return [MetricValue.defined(f"RI[{ri.model_ids[i]}]", ri.ri[i]) for i in ri.ranking]
+
+
+def _table(*metrics: Metric) -> dict:
+    return {m.id: m for m in metrics}
+
+
+class Check(NamedTuple):
+    """A validation check: the CLI flags it reads, by argparse dest, and its entries."""
+
+    needs: tuple[str, ...]
+    table: dict
+
+
+CHECKS = {
+    "tropsha": Check(("input",), _table(
+        Metric("R2", lambda c: _number("R2", c.tropsha.r2),
+               "k = sum(A*P)/sum(P^2); k' = sum(A*P)/sum(A^2); "
+               "Ro2 = 1 - sum((P - k*P)^2)/sum((P - mean(P))^2); "
+               "Ro2' = 1 - sum((A - k'*A)^2)/sum((A - mean(A))^2); "
+               "m = (R2 - Ro2)/R2; n = (R2 - Ro2')/R2; R2 = squared Pearson R"),
+        Metric("K", lambda c: _number("K", c.tropsha.k), ""),
+        Metric("K_PRIME", lambda c: _number("K_PRIME", c.tropsha.k_prime), ""),
+        Metric("RO2", lambda c: _number("RO2", c.tropsha.ro2), ""),
+        Metric("RO2_PRIME", lambda c: _number("RO2_PRIME", c.tropsha.ro2_prime), ""),
+        Metric("M_INDEX", lambda c: _number("M_INDEX", c.tropsha.m_index), ""),
+        Metric("N_INDEX", lambda c: _number("N_INDEX", c.tropsha.n_index), ""),
+        Metric("PASS_K", lambda c: c.tropsha.pass_k,
+               f"{SLOPE_RANGE[0]:g} <= k <= {SLOPE_RANGE[1]:g} or "
+               f"{SLOPE_RANGE[0]:g} <= k' <= {SLOPE_RANGE[1]:g}"),
+        Metric("PASS_M", lambda c: c.tropsha.pass_m, f"|m| < {INDEX_LIMIT:g}"),
+        Metric("PASS_N", lambda c: c.tropsha.pass_n, f"|n| < {INDEX_LIMIT:g}"),
+        Metric("OVERALL_PASS", lambda c: c.tropsha.overall_pass, ""),
+    )),
+    "rm": Check(("input",), _table(
+        Metric("RM", lambda c: _number("RM", c.rm.rm),
+               f"Rm = R2 * (1 - sqrt(|R2 - Ro2|)); good fit when Rm > {RM_THRESHOLD:g}"),
+        Metric("R2", lambda c: _number("R2", c.rm.r2), ""),
+        Metric("RO2", lambda c: _number("RO2", c.rm.ro2), ""),
+        Metric("PASS_RM", lambda c: c.rm.passed, f"Rm > {RM_THRESHOLD:g}"),
+    )),
+    "adequacy": Check(("observations", "parameters"), _table(
+        Metric("RATIO", lambda c: _number("RATIO", c.adequacy.ratio),
+               "ratio = observations / parameters; adequate when ratio >= {0:g} "
+               "({0:g} to {1:g} is the recommended band)".format(*ADEQUACY_RANGE)),
+        Metric("VERDICT", lambda c: c.adequacy.verdict, ""),
+        Metric("ADEQUATE", lambda c: c.adequacy.adequate, ""),
+    )),
+    "objective": Check(("train", "validation"), _table(
+        Metric("OBJ", lambda c: gandomi_objective(c.train, c.validation),
+               "OBJ = ((Nt - Nv)/(Nt + Nv)) * (RMSE_t + MAE_t)/R2_t "
+               "+ (2*Nv/(Nt + Nv)) * (RMSE_v + MAE_v)/R2_v; lower is better"),
+    )),
+    # one RI entry per model, best first
+    "ri": Check(("model",), _table(
+        Metric("RI", lambda c: _ranked(c.ri),
+               "RI = mean of min-max normalized (RMSE, MAE, MAPE) across the model "
+               "set; lower is better; zero-range columns normalize to 0"),
+        Metric("RANKING", lambda c: ",".join(c.ri.model_ids[i] for i in c.ri.ranking), ""),
+    )),
+}

@@ -425,28 +425,40 @@ class TestVectorDistances:
             _distance_outcome(reference_wave_hedges, s)
 
 
+    def test_zero_denominator_outranks_an_overflowing_sum(self):
+        # the first two WHD terms are 1e308 each, so their sum overflows before
+        # the third term's zero denominator is reached
+        s = PairedSeries([1.0, 1.0, 0.0], [-1e308, -1e308, 0.0])
+        assert _distance_outcome(wave_hedges, s) == \
+            _distance_outcome(reference_wave_hedges, s) == \
+            (None, "undefined", "zero_denominator", ())
+        with pytest.raises(OverflowError):
+            wave_hedges(PairedSeries([1.0, 1.0], [-1e308, -1e308]))
+
+
 class TestThresholdReport:
     def test_catalog_order_ids_and_weighted_note(self):
-        from modeval.classification import METRICS, ThresholdContext, threshold_report
-        from modeval.dataset import confusion_from_scores
+        from modeval.classification import METRICS, ThresholdContext
+        from modeval.cli import _report
+        from modeval.dataset import confusion_from_scores, evaluate
 
         data = ScoredBinarySet([True, True, False, False, True],
                                [0.9, 0.3, 0.6, 0.1, 0.7])
         ctx = ThresholdContext(data, confusion_from_scores(data, 0.5), 0.7)
-        results = threshold_report(ctx, reversed(list(METRICS)))
-        assert [mv.id for mv, _ in results] == list(METRICS)
-        notes = {mv.id: note for mv, note in results}
+        values = evaluate(METRICS, ctx, reversed(list(METRICS)), "classification")
+        assert [mv.id for mv in values.values()] == list(values) == list(METRICS)
+        notes = {entry["id"]: entry["formula_note"] for entry in _report(METRICS, values, ctx)}
         assert notes["ACA"].endswith("[w = 0.7]")
         assert ctx.indicator_series is ctx.indicator_series
 
     def test_unknown_id(self):
-        from modeval.classification import ThresholdContext, threshold_report
-        from modeval.dataset import confusion_from_scores
+        from modeval.classification import METRICS, ThresholdContext
+        from modeval.dataset import confusion_from_scores, evaluate
 
         data = ScoredBinarySet([True, False], [0.9, 0.1])
         ctx = ThresholdContext(data, confusion_from_scores(data, 0.5))
         with pytest.raises(UsageError):
-            threshold_report(ctx, {"ACC", "BOGUS"})
+            evaluate(METRICS, ctx, {"ACC", "BOGUS"}, "classification")
 
     @given(st.lists(st.tuples(st.booleans(),
                               st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2, 2)),

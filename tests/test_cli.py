@@ -374,6 +374,10 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--check", "ri",
                                "--model", f"a={FIXTURES / 'model_a.csv'}")
         assert code == 1
+        code, out, err = run_cli(capsys, "validate", "--check", "ri")
+        assert (code, out) == (1, "")
+        assert err == ("modeval: usage error: --check ri requires at least two "
+                       "--model NAME=PATH flags\n")
 
     def test_constant_input_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "constant.csv"
@@ -398,6 +402,28 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--check", "objective",
                                "--train", str(FIXTURES / "perfect.csv"))
         assert code == 1 and "--validation" in err
+
+    def test_check_choices_are_the_registry_checks(self):
+        # the parser lists the checks itself, so that building it imports no family
+        from modeval import validation
+        from modeval.cli import build_parser
+
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        check = subcommands["validate"]._option_string_actions["--check"]
+        assert check.choices == tuple(validation.CHECKS)
+
+
+def test_note_placeholders_are_filled_only_where_a_value_belongs():
+    # {name} or {name:spec} with an identifier name is filled from the context;
+    # recall_{n-1} and A_{i-1} are literal
+    from modeval import classification, curves, regression, validation
+    from modeval.cli import _PLACEHOLDER
+
+    tables = [regression.METRICS, classification.COUNTS, classification.METRICS,
+              curves.METRICS, *(check.table for check in validation.CHECKS.values())]
+    entries = [m for table in tables for m in table.values()]
+    assert sorted(m.id for m in entries if _PLACEHOLDER.search(m.note)) == ["ACA", "CAL", "LIFT"]
+    assert "{n-1}" in curves.METRICS["AP"].note and "{i-1}" in regression.METRICS["MASE"].note
 
 
 class TestDeterminism:
