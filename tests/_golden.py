@@ -72,6 +72,10 @@ EXTRA_RUNS = {
     "validate_adequacy_above_table": (
         "validate", "--check", "adequacy", "--observations", "100", "--parameters", "12",
         "--format", "table"),
+    # two identical models: every metric column ties and the report warns
+    "validate_ri_tied": (
+        "validate", "--check", "ri", "--model", f"a={FIXTURES / 'model_a.csv'}",
+        "--model", f"b={FIXTURES / 'model_a.csv'}", "--format", "table"),
 }
 
 # Every snapshot under fixtures/golden, by file stem.
