@@ -11,12 +11,13 @@ sees an undefined requested metric. Diagnostics go to stderr, reports to
 stdout.
 
 Every subcommand runs one path: it loads its inputs, builds its family's
-context and hands a table of ``Metric`` entries, the context and the
-requested ids to ``dataset.evaluate``; ``_report`` turns the values into
-entries. A MetricValue renders with its status; a fact (a count, pass flag,
-verdict or ranking) renders as a defined plain value; a list gives one entry
-per item. A ``{name}`` or ``{name:spec}`` in a note is filled from the
-context. No subcommand names a metric id or a note.
+context (for a validation check, the check's report) and hands a table of
+``Metric`` entries, the context and the requested ids to
+``dataset.evaluate``; ``_report`` turns the values into entries. A
+MetricValue renders with its status; a fact (a count, pass flag, verdict or
+ranking) renders as a defined plain value; a list gives one entry per item.
+A ``{name}`` or ``{name:spec}`` in a note is filled from the context. No
+subcommand names a metric id or a note.
 
 Each subcommand imports its metric family when it runs, so a process loads
 only the modules its own subcommand needs.
@@ -255,10 +256,9 @@ def _cmd_validate(args, inputs: _Inputs) -> list:
     # a count joins the digest as text, a file as the bytes it holds
     inputs.hasher.update(",".join(f"{name}={getattr(args, name)}" for name in check.needs
                                   if isinstance(getattr(args, name), int)).encode())
-    ctx = validation.ValidationContext(
-        **{name: _check_input(name, args, inputs) for name in check.needs},
-        warnings=inputs.warnings)
-    return _report(check.table, evaluate(check.table, ctx), ctx)
+    report = check.report(**{name: _check_input(name, args, inputs) for name in check.needs})
+    inputs.warnings += getattr(report, "warnings", [])
+    return _report(check.table, evaluate(check.table, report))
 
 
 def build_parser() -> _Parser:

@@ -78,11 +78,11 @@ class PrCurve:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Per-window calibration errors and their mean."""
+    """Per-window calibration errors, each window ``CAL_WINDOW_SIZE`` cases, and
+    their mean."""
 
     window_errors: tuple[float, ...]
     cal: float
-    window_size: int = CAL_WINDOW_SIZE
 
 
 def roc_curve(data: ScoredBinarySet) -> RocCurve:

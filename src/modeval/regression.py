@@ -42,11 +42,9 @@ from .errors import UsageError
 
 @dataclass(frozen=True)
 class RegressionReport:
-    """Batch result: one MetricValue per requested id plus shared statistics."""
+    """Batch result: one MetricValue per requested id."""
 
     metrics: dict
-    n: int
-    a_mean: float
 
 
 def residuals(data: PairedSeries) -> tuple[float, ...]:
@@ -315,5 +313,4 @@ def regression_report(data: PairedSeries, ids, *,
     order ids were supplied in.
     """
     ctx = SeriesContext(data, skip_undefined_terms)
-    return RegressionReport(metrics=evaluate(METRICS, ctx, ids, "regression"), n=ctx.n,
-                            a_mean=ctx.a_mean)
+    return RegressionReport(metrics=evaluate(METRICS, ctx, ids, "regression"))

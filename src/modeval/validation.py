@@ -9,16 +9,17 @@ R-squared here is the squared Pearson correlation of actuals and predictions,
 which requires both series to be non-constant; degenerate inputs raise
 DefinednessError rather than returning a number.
 
-``CHECKS`` names, for each check, the CLI flags it reads and its table of
-entries over a ``ValidationContext``. A number is reported as a MetricValue,
-a pass flag, verdict or ranking as the plain value.
+``CHECKS`` names, for each check, the CLI flags it reads, the call that
+builds its report from them and its table of entries over that report. A
+number is reported as a MetricValue, a pass flag, verdict or ranking as the
+plain value.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 from math import fsum
 from typing import NamedTuple
 
@@ -84,6 +85,13 @@ class RiRanking:
     ranking: tuple[int, ...]
     tied_columns: tuple[str, ...]
 
+    @property
+    def warnings(self) -> list[str]:
+        """The report's warning about zero-range metric columns, if any."""
+        if not self.tied_columns:
+            return []
+        return ["tied metric column(s): " + ",".join(self.tied_columns)]
+
 
 def _squared_pearson(ctx: SeriesContext) -> float:
     if ctx.s_aa == 0:
@@ -110,12 +118,11 @@ def _ro2(values, slope, centered_ss) -> float:
     return 1.0 - fsum((v - slope * v) ** 2 for v in values) / centered_ss
 
 
-def tropsha_criteria(data: PairedSeries, slope_range=SLOPE_RANGE,
-                     index_limit: float = INDEX_LIMIT) -> TropshaReport:
-    """Slope-through-origin validation with configurable pass thresholds.
+def tropsha_criteria(data: PairedSeries) -> TropshaReport:
+    """Slope-through-origin validation.
 
-    Passes when at least one slope lies within ``slope_range`` and both
-    performance indexes are below ``index_limit`` in magnitude.
+    Passes when at least one slope lies within ``SLOPE_RANGE`` and both
+    performance indexes are below ``INDEX_LIMIT`` in magnitude.
     """
     if len(data) < 3:
         raise DefinednessError("slope criterion needs at least 3 observations")
@@ -124,15 +131,15 @@ def tropsha_criteria(data: PairedSeries, slope_range=SLOPE_RANGE,
     k, k_prime = _origin_slopes(data)
     ro2 = _ro2(data.predicted, k, ctx.s_pp)
     ro2_prime = _ro2(data.actual, k_prime, ctx.s_aa)
-    low, high = slope_range
+    low, high = SLOPE_RANGE
     if r2 == 0:
         m_index = n_index = None
     else:
         m_index = (r2 - ro2) / r2
         n_index = (r2 - ro2_prime) / r2
     pass_k = (low <= k <= high) or (low <= k_prime <= high)
-    pass_m = m_index is not None and abs(m_index) < index_limit
-    pass_n = n_index is not None and abs(n_index) < index_limit
+    pass_m = m_index is not None and abs(m_index) < INDEX_LIMIT
+    pass_n = n_index is not None and abs(n_index) < INDEX_LIMIT
     return TropshaReport(r2=r2, k=k, k_prime=k_prime, ro2=ro2, ro2_prime=ro2_prime,
                          m_index=m_index, n_index=n_index, pass_k=pass_k,
                          pass_m=pass_m, pass_n=pass_n,
@@ -223,9 +230,6 @@ def reference_index_from_metrics(model_ids, triples) -> RiRanking:
 
 def reference_index(models) -> RiRanking:
     """Evaluate RMSE/MAE/MAPE per (model_id, PairedSeries) pair and rank them."""
-    models = list(models)
-    if len(models) < 2:
-        raise UsageError("reference index needs at least 2 models")
     ids, triples = [], []
     for model_id, series in models:
         ctx = SeriesContext(series)
@@ -239,39 +243,6 @@ def reference_index(models) -> RiRanking:
         ids.append(str(model_id))
         triples.append(tuple(triple))
     return reference_index_from_metrics(ids, triples)
-
-
-class ValidationContext:
-    """A check's inputs, each named after the CLI flag that gives it, and the
-    reports its entries read, each computed on first use and kept. ``model``
-    holds (model id, PairedSeries) pairs; a tie that the reference index finds
-    goes to ``warnings`` when a list is given."""
-
-    def __init__(self, input: PairedSeries | None = None, train: PairedSeries | None = None,
-                 validation: PairedSeries | None = None, model=(),
-                 observations: int | None = None, parameters: int | None = None,
-                 warnings: list | None = None):
-        self.input, self.train, self.validation, self.model = input, train, validation, model
-        self.observations, self.parameters, self.warnings = observations, parameters, warnings
-
-    @cached_property
-    def tropsha(self) -> TropshaReport:
-        return tropsha_criteria(self.input)
-
-    @cached_property
-    def rm(self) -> RmReport:
-        return roy_rm(self.input)
-
-    @cached_property
-    def adequacy(self) -> AdequacyReport:
-        return data_adequacy_ratio(self.observations, self.parameters)
-
-    @cached_property
-    def ri(self) -> RiRanking:
-        ranking = reference_index(self.model)
-        if ranking.tied_columns and self.warnings is not None:
-            self.warnings.append("tied metric column(s): " + ",".join(ranking.tied_columns))
-        return ranking
 
 
 def _number(metric_id: str, value: float | None) -> MetricValue:
@@ -290,56 +261,65 @@ def _table(*metrics: Metric) -> dict:
 
 
 class Check(NamedTuple):
-    """A validation check: the CLI flags it reads, by argparse dest, and its entries."""
+    """A validation check: the CLI flags it reads, by argparse dest; the call
+    that builds its report from their values, one keyword argument per flag;
+    and its entries, each read from that report. ``model`` gives (model id,
+    PairedSeries) pairs. The call names its function rather than holding it,
+    so it runs whatever perfbench/tracing.py has patched in."""
 
     needs: tuple[str, ...]
+    report: Callable
     table: dict
 
 
 CHECKS = {
-    "tropsha": Check(("input",), _table(
-        Metric("R2", lambda c: _number("R2", c.tropsha.r2),
+    "tropsha": Check(("input",), lambda input: tropsha_criteria(input), _table(
+        Metric("R2", lambda r: _number("R2", r.r2),
                "k = sum(A*P)/sum(P^2); k' = sum(A*P)/sum(A^2); "
                "Ro2 = 1 - sum((P - k*P)^2)/sum((P - mean(P))^2); "
                "Ro2' = 1 - sum((A - k'*A)^2)/sum((A - mean(A))^2); "
                "m = (R2 - Ro2)/R2; n = (R2 - Ro2')/R2; R2 = squared Pearson R"),
-        Metric("K", lambda c: _number("K", c.tropsha.k), ""),
-        Metric("K_PRIME", lambda c: _number("K_PRIME", c.tropsha.k_prime), ""),
-        Metric("RO2", lambda c: _number("RO2", c.tropsha.ro2), ""),
-        Metric("RO2_PRIME", lambda c: _number("RO2_PRIME", c.tropsha.ro2_prime), ""),
-        Metric("M_INDEX", lambda c: _number("M_INDEX", c.tropsha.m_index), ""),
-        Metric("N_INDEX", lambda c: _number("N_INDEX", c.tropsha.n_index), ""),
-        Metric("PASS_K", lambda c: c.tropsha.pass_k,
+        Metric("K", lambda r: _number("K", r.k), ""),
+        Metric("K_PRIME", lambda r: _number("K_PRIME", r.k_prime), ""),
+        Metric("RO2", lambda r: _number("RO2", r.ro2), ""),
+        Metric("RO2_PRIME", lambda r: _number("RO2_PRIME", r.ro2_prime), ""),
+        Metric("M_INDEX", lambda r: _number("M_INDEX", r.m_index), ""),
+        Metric("N_INDEX", lambda r: _number("N_INDEX", r.n_index), ""),
+        Metric("PASS_K", lambda r: r.pass_k,
                f"{SLOPE_RANGE[0]:g} <= k <= {SLOPE_RANGE[1]:g} or "
                f"{SLOPE_RANGE[0]:g} <= k' <= {SLOPE_RANGE[1]:g}"),
-        Metric("PASS_M", lambda c: c.tropsha.pass_m, f"|m| < {INDEX_LIMIT:g}"),
-        Metric("PASS_N", lambda c: c.tropsha.pass_n, f"|n| < {INDEX_LIMIT:g}"),
-        Metric("OVERALL_PASS", lambda c: c.tropsha.overall_pass, ""),
+        Metric("PASS_M", lambda r: r.pass_m, f"|m| < {INDEX_LIMIT:g}"),
+        Metric("PASS_N", lambda r: r.pass_n, f"|n| < {INDEX_LIMIT:g}"),
+        Metric("OVERALL_PASS", lambda r: r.overall_pass, ""),
     )),
-    "rm": Check(("input",), _table(
-        Metric("RM", lambda c: _number("RM", c.rm.rm),
+    "rm": Check(("input",), lambda input: roy_rm(input), _table(
+        Metric("RM", lambda r: _number("RM", r.rm),
                f"Rm = R2 * (1 - sqrt(|R2 - Ro2|)); good fit when Rm > {RM_THRESHOLD:g}"),
-        Metric("R2", lambda c: _number("R2", c.rm.r2), ""),
-        Metric("RO2", lambda c: _number("RO2", c.rm.ro2), ""),
-        Metric("PASS_RM", lambda c: c.rm.passed, f"Rm > {RM_THRESHOLD:g}"),
+        Metric("R2", lambda r: _number("R2", r.r2), ""),
+        Metric("RO2", lambda r: _number("RO2", r.ro2), ""),
+        Metric("PASS_RM", lambda r: r.passed, f"Rm > {RM_THRESHOLD:g}"),
     )),
-    "adequacy": Check(("observations", "parameters"), _table(
-        Metric("RATIO", lambda c: _number("RATIO", c.adequacy.ratio),
+    "adequacy": Check(("observations", "parameters"),
+                      lambda observations, parameters:
+                      data_adequacy_ratio(observations, parameters), _table(
+        Metric("RATIO", lambda r: _number("RATIO", r.ratio),
                "ratio = observations / parameters; adequate when ratio >= {0:g} "
                "({0:g} to {1:g} is the recommended band)".format(*ADEQUACY_RANGE)),
-        Metric("VERDICT", lambda c: c.adequacy.verdict, ""),
-        Metric("ADEQUATE", lambda c: c.adequacy.adequate, ""),
+        Metric("VERDICT", lambda r: r.verdict, ""),
+        Metric("ADEQUATE", lambda r: r.adequate, ""),
     )),
-    "objective": Check(("train", "validation"), _table(
-        Metric("OBJ", lambda c: gandomi_objective(c.train, c.validation),
+    # the objective's report is its one value
+    "objective": Check(("train", "validation"),
+                       lambda train, validation: gandomi_objective(train, validation), _table(
+        Metric("OBJ", lambda r: r,
                "OBJ = ((Nt - Nv)/(Nt + Nv)) * (RMSE_t + MAE_t)/R2_t "
                "+ (2*Nv/(Nt + Nv)) * (RMSE_v + MAE_v)/R2_v; lower is better"),
     )),
     # one RI entry per model, best first
-    "ri": Check(("model",), _table(
-        Metric("RI", lambda c: _ranked(c.ri),
+    "ri": Check(("model",), lambda model: reference_index(model), _table(
+        Metric("RI", _ranked,
                "RI = mean of min-max normalized (RMSE, MAE, MAPE) across the model "
                "set; lower is better; zero-range columns normalize to 0"),
-        Metric("RANKING", lambda c: ",".join(c.ri.model_ids[i] for i in c.ri.ranking), ""),
+        Metric("RANKING", lambda r: ",".join(r.model_ids[i] for i in r.ranking), ""),
     )),
 }

@@ -412,6 +412,20 @@ class TestValidate:
         check = subcommands["validate"]._option_string_actions["--check"]
         assert check.choices == tuple(validation.CHECKS)
 
+    def test_each_check_builds_its_report_from_the_flags_it_needs(self):
+        # the CLI calls check.report(**{name: value of --name for name in needs});
+        # a misspelt flag or parameter would otherwise be a raw TypeError there
+        import inspect
+
+        from modeval import validation
+        from modeval.cli import build_parser
+
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        dests = {action.dest for action in subcommands["validate"]._actions}
+        for name, check in validation.CHECKS.items():
+            assert set(check.needs) <= dests, name
+            assert tuple(inspect.signature(check.report).parameters) == check.needs, name
+
 
 def test_note_placeholders_are_filled_only_where_a_value_belongs():
     # {name} or {name:spec} with an identifier name is filled from the context;

@@ -264,7 +264,6 @@ class TestCalibration:
         report = calibration_error(ScoredBinarySet(flags, [0.5] * 200))
         assert report.cal == 0.0
         assert len(report.window_errors) == 101
-        assert report.window_size == 100
 
     def test_confident_and_wrong(self):
         report = calibration_error(ScoredBinarySet([False] * 120, [1.0] * 120))

@@ -165,7 +165,6 @@ class TestReport:
         assert report.metrics["MAE"].value == 0.75
         assert report.metrics["MSE"].value == 0.75
         assert report.metrics["SSE"].value == 3.0
-        assert report.n == 4 and report.a_mean == 2.5
 
     def test_all_ids_mase_needs_order(self):
         series = PairedSeries([1, 2, 3, 4], [2, 2, 4, 5], ordered=False)

@@ -84,11 +84,6 @@ class TestTropsha:
         with pytest.raises(DefinednessError):
             tropsha_criteria(PairedSeries([1, 2], [1, 2]))
 
-    def test_custom_thresholds(self):
-        rep = tropsha_criteria(PairedSeries([1, 2, 3], [2, 4, 6]),
-                               slope_range=(0.4, 2.5))
-        assert rep.pass_k
-
 
 class TestRoyRm:
     def test_perfect_model(self):
