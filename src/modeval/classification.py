@@ -17,20 +17,20 @@ still costs exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 from operator import add, sub, truediv
+from typing import NamedTuple
 
 from .dataset import (NEGATIVE, POSITIVE, ConfusionMatrix2, ConfusionMatrixK, Metric,
-                      MetricValue, PairedSeries, ScoredBinarySet,
-                      _check_probabilities)
+                      MetricValue, PairedSeries, ScoredBinarySet, _check_probabilities,
+                      _Frozen)
 from .errors import DataError, UsageError
 
 CLAMP_EPSILON = 1e-15
 
-@dataclass(frozen=True)
-class RateSet:
+
+class RateSet(NamedTuple):
     """The eight confusion-matrix rates; complements pair up where defined."""
 
     tpr: MetricValue
@@ -70,8 +70,12 @@ def rates(matrix: ConfusionMatrix2) -> RateSet:
 
 def likelihood_ratios(matrix: ConfusionMatrix2):
     """Positive/negative likelihood ratios and the diagnostic odds ratio."""
-    r = rates(matrix)
+    return _likelihood_ratios(rates(matrix))
 
+
+# These helpers take the RateSet that a ThresholdContext computes once for
+# every entry that reads a rate; the public functions take the matrix.
+def _likelihood_ratios(r: RateSet):
     def ratio(metric_id, num, den):
         if not (num.is_defined and den.is_defined):
             return MetricValue.undefined(metric_id, "undefined_component")
@@ -127,7 +131,10 @@ def _combine(metric_id, first, second, combine):
 
 def informedness_markedness(matrix: ConfusionMatrix2):
     """Bookmaker informedness (Youden's J) and markedness."""
-    r = rates(matrix)
+    return _informedness_markedness(rates(matrix))
+
+
+def _informedness_markedness(r: RateSet):
     bm = _combine("BM", r.tpr, r.tnr, lambda x, y: x + y - 1.0)
     mk = _combine("MK", r.ppv, r.npv, lambda x, y: x + y - 1.0)
     return bm, mk
@@ -139,10 +146,13 @@ def average_class_accuracy(matrix: ConfusionMatrix2, w: float) -> MetricValue:
     By caller convention the positive class is the minority class, so w > 0.5
     makes the minority class contribute more.
     """
+    return _average_class_accuracy(rates(matrix), w)
+
+
+def _average_class_accuracy(r: RateSet, w: float) -> MetricValue:
     w = float(w)
     if not 0.0 < w < 1.0:
         raise UsageError(f"weight must lie strictly between 0 and 1, got {w!r}")
-    r = rates(matrix)
     return _combine("ACA", r.tpr, r.tnr, lambda x, y: w * x + (1.0 - w) * y)
 
 
@@ -185,18 +195,15 @@ def hamming_loss(actual, predicted) -> MetricValue:
     return MetricValue.defined("HAMMING", mismatches / len(actual))
 
 
-@dataclass(frozen=True)
-class ProbabilityMatrix:
+class ProbabilityMatrix(_Frozen):
     """Per-observation probability vectors over K classes plus the true class."""
 
     rows: tuple[tuple[float, ...], ...]
     true_class: tuple[int, ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        true_class = tuple(int(c) for c in self.true_class)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "true_class", true_class)
+    def __init__(self, rows, true_class):
+        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        true_class = tuple(int(c) for c in true_class)
         if len(rows) != len(true_class):
             raise DataError(f"{len(rows)} probability rows but {len(true_class)} true classes")
         if not rows:
@@ -212,6 +219,7 @@ class ProbabilityMatrix:
         for i, c in enumerate(true_class):
             if not 0 <= c < width:
                 raise DataError(f"true_class[{i}] = {c} outside 0..{width - 1}")
+        self._set(rows, true_class)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -319,7 +327,7 @@ class ThresholdContext:
 
     @cached_property
     def likelihood(self):
-        return likelihood_ratios(self.matrix)
+        return _likelihood_ratios(self.rates)
 
     @cached_property
     def kmatrix(self) -> ConfusionMatrixK:
@@ -364,9 +372,9 @@ METRICS = {m.id: m for m in (
     Metric("MCC", lambda c: mcc(c.matrix),
            "MCC = (TP*TN - FP*FN) / sqrt((TP+FP)(TP+FN)(TN+FP)(TN+FN))  "
            "[four-factor denominator]"),
-    Metric("BM", lambda c: informedness_markedness(c.matrix)[0], "BM = TPR + TNR - 1"),
-    Metric("MK", lambda c: informedness_markedness(c.matrix)[1], "MK = PPV + NPV - 1"),
-    Metric("ACA", lambda c: average_class_accuracy(c.matrix, c.aca_weight),
+    Metric("BM", lambda c: _informedness_markedness(c.rates)[0], "BM = TPR + TNR - 1"),
+    Metric("MK", lambda c: _informedness_markedness(c.rates)[1], "MK = PPV + NPV - 1"),
+    Metric("ACA", lambda c: _average_class_accuracy(c.rates, c.aca_weight),
            "ACA = w*TPR + (1 - w)*TNR  [weighted per-class recall] [w = {aca_weight:g}]"),
     Metric("BACC", lambda c: balanced_accuracy(c.kmatrix),
            "BACC = mean of per-class recall (empty classes excluded)"),

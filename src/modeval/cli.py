@@ -20,23 +20,34 @@ A ``{name}`` or ``{name:spec}`` in a note is filled from the context. No
 subcommand names a metric id or a note.
 
 Each subcommand imports its metric family when it runs, so a process loads
-only the modules its own subcommand needs.
+only the modules its own subcommand needs. The input digest comes from
+CPython's built-in SHA-256 (``_sha2`` on 3.12 and later, ``_sha256`` on 3.10
+and 3.11), and from ``hashlib`` only where neither module exists: importing
+hashlib loads OpenSSL's libcrypto, about 3.6 MiB and 3 ms in every process.
+The built-in hash is slower, about 170-220 MB/s against OpenSSL's 1.2 GB/s
+on a 2-vCPU x86-64 VM, which adds about 0.15 s on a 1e6-row (35 MB) file.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import re
 import sys
-from dataclasses import fields
 
 from . import __version__
 from .dataset import (DEFINED, MetricValue, confusion_from_scores, evaluate,
                       load_paired_csv, load_scored_csv)
 from .errors import DataError, SchemaError, UsageError
+
+try:  # CPython's built-in SHA-256: importing hashlib would load OpenSSL
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,7 +110,7 @@ class _Inputs:
     they are read; each loader reads its file to the end."""
 
     def __init__(self):
-        self.hasher = hashlib.sha256()
+        self.hasher = sha256()
         self.warnings: list[str] = []
 
     def _load(self, load, path: str, *args, **options):
@@ -209,8 +220,7 @@ def _cmd_classify(args, inputs: _Inputs) -> list:
 
 
 def _write_points(path: str, curve) -> None:
-    # a curve's fields are its x, y and threshold columns, in that order
-    xs, ys, thresholds = (getattr(curve, field.name) for field in fields(curve))
+    xs, ys, thresholds = curve  # a curve is its x, y and threshold columns, in that order
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("threshold,x,y\n")
         fh.writelines(f"{threshold!r},{x!r},{y!r}\n"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import fsum
@@ -40,8 +39,7 @@ class PrPoint(NamedTuple):
     threshold: float
 
 
-@dataclass(frozen=True)
-class RocCurve:
+class RocCurve(NamedTuple):
     """Threshold sweep from (0,0) to (1,1); one vertex per distinct score.
 
     Held as three float columns: the rates are ``array("d")``, the thresholds
@@ -58,8 +56,7 @@ class RocCurve:
         return tuple(map(RocPoint, self.fpr, self.tpr, self.thresholds))
 
 
-@dataclass(frozen=True)
-class PrCurve:
+class PrCurve(NamedTuple):
     """Threshold sweep over distinct scores; recall reaches 1 at the last point.
 
     Held as three float columns: the rates are ``array("d")``, the thresholds
@@ -76,8 +73,7 @@ class PrCurve:
         return tuple(map(PrPoint, self.recall, self.precision, self.thresholds))
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     """Per-window calibration errors, each window ``CAL_WINDOW_SIZE`` cases, and
     their mean."""
 

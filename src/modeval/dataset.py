@@ -21,7 +21,6 @@ import math
 from array import array
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, itemgetter, ne
@@ -36,8 +35,49 @@ DEFINED = "defined"
 UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class _Frozen:
+    """Base of the validated value types.
+
+    A subclass annotates its fields in the class body, as a dataclass would,
+    and its ``__init__`` converts and checks its arguments and stores them,
+    in the order of those annotations, with ``_set``. Instances compare and hash by field, print as
+    ``Name(field=value, ...)`` and refuse assignment and deletion with an
+    AttributeError. ``cached_property`` still works: it writes to the instance
+    dict directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class MetricValue(_Frozen):
     """A metric result: either a finite value or an explicit undefined status.
 
     ``reason`` is a machine-readable token (``zero_actual``,
@@ -49,21 +89,23 @@ class MetricValue:
     id: str
     value: float | None
     status: str
-    reason: str | None = None
-    dropped_terms: int = 0
-    flags: tuple[str, ...] = ()
+    reason: str | None
+    dropped_terms: int
+    flags: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.status == DEFINED:
-            if self.value is None or not math.isfinite(self.value):
-                raise DataError(f"{self.id}: a defined metric must carry a finite value")
-            if self.reason is not None:
-                raise DataError(f"{self.id}: a defined metric must not carry a reason")
-        elif self.status == UNDEFINED:
-            if self.value is not None or not self.reason:
-                raise DataError(f"{self.id}: an undefined metric needs a reason and no value")
+    def __init__(self, id: str, value: float | None, status: str, reason: str | None = None,
+                 dropped_terms: int = 0, flags: tuple[str, ...] = ()):
+        if status == DEFINED:
+            if value is None or not math.isfinite(value):
+                raise DataError(f"{id}: a defined metric must carry a finite value")
+            if reason is not None:
+                raise DataError(f"{id}: a defined metric must not carry a reason")
+        elif status == UNDEFINED:
+            if value is not None or not reason:
+                raise DataError(f"{id}: an undefined metric needs a reason and no value")
         else:
-            raise UsageError(f"{self.id}: unknown status {self.status!r}")
+            raise UsageError(f"{id}: unknown status {status!r}")
+        self._set(id, value, status, reason, dropped_terms, flags)
 
     @classmethod
     def defined(cls, metric_id: str, value: float, dropped_terms: int = 0,
@@ -79,8 +121,7 @@ class MetricValue:
         return self.status == DEFINED
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(NamedTuple):
     """One catalog entry of a metric family.
 
     ``fn`` maps the family's shared context to the metric's MetricValue; the
@@ -131,8 +172,7 @@ def _check_probabilities(scores):
             raise DataError(f"scores[{i}] = {s!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class PairedSeries:
+class PairedSeries(_Frozen):
     """Aligned actual/predicted observations in the units of the modeled quantity.
 
     ``ordered`` declares whether index order is a meaningful time/sequence
@@ -141,13 +181,11 @@ class PairedSeries:
 
     actual: tuple[float, ...]
     predicted: tuple[float, ...]
-    ordered: bool = False
+    ordered: bool
 
-    def __post_init__(self):
-        actual = tuple(map(float, self.actual))
-        predicted = tuple(map(float, self.predicted))
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "predicted", predicted)
+    def __init__(self, actual, predicted, ordered: bool = False):
+        actual = tuple(map(float, actual))
+        predicted = tuple(map(float, predicted))
         if len(actual) != len(predicted):
             raise DataError(
                 f"actual has {len(actual)} values but predicted has {len(predicted)}")
@@ -155,6 +193,7 @@ class PairedSeries:
             raise EmptyInputError("a paired series needs at least one observation")
         _check_finite(actual, "actual")
         _check_finite(predicted, "predicted")
+        self._set(actual, predicted, ordered)
 
     def __len__(self) -> int:
         return len(self.actual)
@@ -188,8 +227,7 @@ class Ranking(NamedTuple):
     thresholds: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class ScoredBinarySet:
+class ScoredBinarySet(_Frozen):
     """Binary ground-truth labels with real-valued classifier scores.
 
     Scores are probabilities in [0, 1] when the consuming metric demands one,
@@ -200,19 +238,18 @@ class ScoredBinarySet:
     labels: tuple[str, ...]
     scores: tuple[float, ...]
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
+    def __init__(self, labels, scores):
+        labels = tuple(labels)
         # count compares by ==, as _coerce_label does, and needs no hashable labels
         if labels.count(POSITIVE) + labels.count(NEGATIVE) != len(labels):
             labels = tuple(map(_coerce_label, labels))
-        scores = tuple(map(float, self.scores))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "scores", scores)
+        scores = tuple(map(float, scores))
         if len(labels) != len(scores):
             raise DataError(f"{len(labels)} labels but {len(scores)} scores")
         if not labels:
             raise EmptyInputError("a scored set needs at least one observation")
         _check_finite(scores, "scores")
+        self._set(labels, scores)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -244,8 +281,7 @@ class ScoredBinarySet:
         return Ranking(scores, cum_positives, ends, tuple(compress(scores, starts)))
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix2:
+class ConfusionMatrix2(_Frozen):
     """2-class count table: true/false positives and negatives."""
 
     tp: int
@@ -253,11 +289,11 @@ class ConfusionMatrix2:
     fn: int
     tn: int
 
-    def __post_init__(self):
-        for name in ("tp", "fp", "fn", "tn"):
-            v = getattr(self, name)
+    def __init__(self, tp: int, fp: int, fn: int, tn: int):
+        for name, v in (("tp", tp), ("fp", fp), ("fn", fn), ("tn", tn)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise DataError(f"{name} must be a non-negative integer, got {v!r}")
+        self._set(tp, fp, fn, tn)
         if self.total < 1:
             raise DataError("a confusion matrix needs at least one observation")
 
@@ -266,18 +302,15 @@ class ConfusionMatrix2:
         return self.tp + self.fp + self.fn + self.tn
 
 
-@dataclass(frozen=True)
-class ConfusionMatrixK:
+class ConfusionMatrixK(_Frozen):
     """K-class count table; rows are actual classes, columns predicted classes."""
 
     classes: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        classes = tuple(str(c) for c in self.classes)
-        counts = tuple(tuple(int(v) for v in row) for row in self.counts)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "counts", counts)
+    def __init__(self, classes, counts):
+        classes = tuple(str(c) for c in classes)
+        counts = tuple(tuple(int(v) for v in row) for row in counts)
         if len(classes) < 2:
             raise SchemaError("a class confusion table needs at least 2 classes")
         if len(set(classes)) != len(classes):
@@ -287,6 +320,7 @@ class ConfusionMatrixK:
             raise DataError(f"counts must be a {k}x{k} table")
         if any(v < 0 for row in counts for v in row):
             raise DataError("counts must be non-negative")
+        self._set(classes, counts)
         if self.total < 1:
             raise DataError("a confusion matrix needs at least one observation")
 

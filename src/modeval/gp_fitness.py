@@ -12,29 +12,29 @@ outputs onto (-1, 1). Per-class targets for the pattern-difference score are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 
 from ._stats import sum_sq_dev
-from .dataset import MetricValue, _check_finite
+from .dataset import MetricValue, _check_finite, _Frozen
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class ClassOutputs:
+class ClassOutputs(_Frozen):
     """Raw classifier outputs split by true class; both sides nonempty."""
 
     minority: tuple[float, ...]
     majority: tuple[float, ...]
 
-    def __post_init__(self):
-        for name in ("minority", "majority"):
-            values = tuple(float(v) for v in getattr(self, name))
+    def __init__(self, minority, majority):
+        sides = []
+        for name, outputs in (("minority", minority), ("majority", majority)):
+            values = tuple(float(v) for v in outputs)
             if not values:
                 raise DataError(f"{name} outputs must be nonempty")
             _check_finite(values, name)
-            object.__setattr__(self, name, values)
+            sides.append(values)
+        self._set(*sides)
 
     @cached_property
     def minority_mean(self) -> float:

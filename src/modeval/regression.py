@@ -29,19 +29,18 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat, tee
 from math import fsum
 from operator import add, mul, not_, sub, truediv
+from typing import NamedTuple
 
 from ._stats import sum_abs_dev, sum_sq_dev
 from .dataset import Metric, MetricValue, PairedSeries, evaluate
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class RegressionReport:
+class RegressionReport(NamedTuple):
     """Batch result: one MetricValue per requested id."""
 
     metrics: dict

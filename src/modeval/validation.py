@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import fsum
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ RM_THRESHOLD = 0.5
 ADEQUACY_RANGE = (3.0, 5.0)
 
 
-@dataclass(frozen=True)
-class TropshaReport:
+class TropshaReport(NamedTuple):
     """Through-origin slopes, their performance indexes, and the pass flags."""
 
     r2: float
@@ -56,8 +54,7 @@ class TropshaReport:
     overall_pass: bool
 
 
-@dataclass(frozen=True)
-class RmReport:
+class RmReport(NamedTuple):
     """External predictability indicator with its pass flag."""
 
     rm: float
@@ -66,8 +63,7 @@ class RmReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class AdequacyReport:
+class AdequacyReport(NamedTuple):
     """Observations-per-parameter ratio with its verdict."""
 
     ratio: float
@@ -75,8 +71,7 @@ class AdequacyReport:
     adequate: bool
 
 
-@dataclass(frozen=True)
-class RiRanking:
+class RiRanking(NamedTuple):
     """Per-model normalized metrics, reference indexes, and the ranking."""
 
     model_ids: tuple[str, ...]

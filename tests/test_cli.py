@@ -574,7 +574,8 @@ class TestInputStreaming:
         b"a,p\r\n1,2\r\n3,5\r\n",
         b"a,p\n1,2\n3,5\n\n\n\r\n",
         b"a,p\n1,2\n3,5",
-    ], ids=["bom", "crlf", "trailing-blank-lines", "no-final-newline"])
+        b"a,p\n" + b"1.25,2.5\n" * 20_000,
+    ], ids=["bom", "crlf", "trailing-blank-lines", "no-final-newline", "many-buffers"])
     def test_digest_is_the_sha256_of_the_raw_file(self, capsys, tmp_path, data):
         path = tmp_path / "input.csv"
         path.write_bytes(data)
@@ -592,6 +593,12 @@ class TestInputStreaming:
         _, doc = run_json(capsys, "validate", "--check", "ri",
                           *(f"--model={p.stem}={p}" for p in paths))
         assert doc["input_digest"] == joined
+
+    def test_validate_digest_of_counts_is_their_text(self, capsys):
+        _, doc = run_json(capsys, "validate", "--check", "adequacy",
+                          "--observations", "10", "--parameters", "3")
+        text = b"observations=10,parameters=3"
+        assert doc["input_digest"] == hashlib.sha256(text).hexdigest()
 
 
 class TestScoredMemory:
