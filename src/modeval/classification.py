@@ -375,17 +375,18 @@ METRICS = {m.id: m for m in (
     Metric("BM", lambda c: _informedness_markedness(c.rates)[0], "BM = TPR + TNR - 1"),
     Metric("MK", lambda c: _informedness_markedness(c.rates)[1], "MK = PPV + NPV - 1"),
     Metric("ACA", lambda c: _average_class_accuracy(c.rates, c.aca_weight),
-           "ACA = w*TPR + (1 - w)*TNR  [weighted per-class recall] [w = {aca_weight:g}]"),
+           lambda c: "ACA = w*TPR + (1 - w)*TNR  [weighted per-class recall] "
+                     f"[w = {c.aca_weight:g}]"),
     Metric("BACC", lambda c: balanced_accuracy(c.kmatrix),
            "BACC = mean of per-class recall (empty classes excluded)"),
     Metric("KAPPA", lambda c: cohen_kappa(c.kmatrix), "kappa = (p_o - p_e) / (1 - p_e)"),
     Metric("HAMMING", lambda c: _rate("HAMMING", c.matrix.fp + c.matrix.fn, c.matrix.total),
            "HAMMING = fraction of positions where actual != predicted"),
     Metric("LOG_LOSS", lambda c: MetricValue.defined("LOG_LOSS", c.cross_entropy.value),
-           "LOG_LOSS = -mean(log p[true class]); log arguments floored at 1e-15"),
+           f"LOG_LOSS = -mean(log p[true class]); log arguments floored at {CLAMP_EPSILON:g}"),
     Metric("BRIER", lambda c: brier_score(c.data), "BRIER = mean((s_i - y_i)^2), y in {0,1}"),
     Metric("MXE", lambda c: c.cross_entropy,
-           "MXE = -mean(y*log(s) + (1-y)*log(1-s)); log arguments floored at 1e-15"),
+           f"MXE = -mean(y*log(s) + (1-y)*log(1-s)); log arguments floored at {CLAMP_EPSILON:g}"),
     Metric("HINGE", lambda c: hinge_loss(c.data), "HINGE = mean(max(0, 1 - q*y)), q = +/-1"),
     Metric("CM", lambda c: canberra(c.indicator_series),
            "CM = sum(|A_i - P_i| / (|A_i| + |P_i|))" + _ON_INDICATORS),

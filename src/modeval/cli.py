@@ -16,8 +16,8 @@ context (for a validation check, the check's report) and hands a table of
 ``dataset.evaluate``; ``_report`` turns the values into entries. A
 MetricValue renders with its status; a fact (a count, pass flag, verdict or
 ranking) renders as a defined plain value; a list gives one entry per item.
-A ``{name}`` or ``{name:spec}`` in a note is filled from the context. No
-subcommand names a metric id or a note.
+A note is a string, or a function of the context for a note that depends on
+the run. No subcommand names a metric id or a note.
 
 Each subcommand imports its metric family when it runs, so a process loads
 only the modules its own subcommand needs. The input digest comes from
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import re
 import sys
 
 from . import __version__
@@ -126,11 +125,6 @@ class _Inputs:
                           args.positive, **options)
 
 
-# A placeholder in a formula note: {name} or {name:spec}, name an identifier.
-# Other braces, such as recall_{n-1}, are literal.
-_PLACEHOLDER = re.compile(r"\{([A-Za-z_]\w*)(?::([^{}]*))?\}")
-
-
 def _entry(entry_id: str, value, note: str) -> dict:
     if not isinstance(value, MetricValue):  # a fact: count, flag, verdict or ranking
         return {"id": entry_id, "value": value, "status": DEFINED, "formula_note": note}
@@ -146,11 +140,11 @@ def _entry(entry_id: str, value, note: str) -> dict:
 
 
 def _report(table: dict, values: dict, ctx=None) -> list:
-    """Report entries for a table's evaluated values, each note filled from ``ctx``."""
+    """Report entries for a table's evaluated values; a callable note is called on ``ctx``."""
     entries = []
     for entry_id, value in values.items():
-        note = _PLACEHOLDER.sub(lambda m: format(getattr(ctx, m[1]), m[2] or ""),
-                                table[entry_id].note)
+        note = table[entry_id].note
+        note = note(ctx) if callable(note) else note
         entries += [_entry(entry_id, v, note)
                     for v in (value if isinstance(value, list) else (value,))]
     return entries
@@ -238,13 +232,13 @@ def _cmd_curves(args, inputs: _Inputs) -> list:
 
 
 def _check_input(name: str, args, inputs: _Inputs):
-    """What a validation check reads from the flag ``name``: a file flag's
-    series, the --model flags' (name, series) pairs in flag order, or a count."""
+    """What a validation check reads from the flag ``name``: a count as it is,
+    the --model flags' (name, series) pairs in flag order, or a file's series."""
     value = getattr(args, name)
-    if name in ("input", "train", "validation"):
-        return inputs.paired(value, args)
-    if name != "model":
+    if isinstance(value, int):
         return value
+    if name != "model":
+        return inputs.paired(value, args)
     if len(value) < 2:
         raise UsageError(f"--check {args.check} requires at least two --model NAME=PATH flags")
     models = []

@@ -232,10 +232,6 @@ class CurveContext:
         return calibration_error(self.data)
 
     @property
-    def cal_windows(self) -> int:
-        return len(self.calibration.window_errors)
-
-    @property
     def ids(self) -> list[str]:
         """The kind's own metrics, then LIFT and CAL when their options ask for them."""
         ids = ["AUC"] if self.kind == "roc" else ["AP", "BREAK_EVEN"]
@@ -256,9 +252,10 @@ METRICS = {m.id: m for m in (
            "BREAK_EVEN = interpolated value where precision == recall "
            "(first crossing along increasing recall)"),
     Metric("LIFT", lambda c: lift(c.data, c.lift_fraction),
-           "LIFT = (share of all positives in the top ceil(fraction*n) scores) "
-           "/ fraction [fraction = {lift_fraction:g}]"),
+           lambda c: "LIFT = (share of all positives in the top ceil(fraction*n) scores) "
+                     f"/ fraction [fraction = {c.lift_fraction:g}]"),
     Metric("CAL", lambda c: MetricValue.defined("CAL", c.calibration.cal),
-           "CAL = mean over sliding windows of 100 score-sorted cases of "
-           "|positive frequency - mean score| [{cal_windows} windows]"),
+           lambda c: f"CAL = mean over sliding windows of {CAL_WINDOW_SIZE} score-sorted "
+                     "cases of |positive frequency - mean score| "
+                     f"[{len(c.calibration.window_errors)} windows]"),
 )}

@@ -129,20 +129,21 @@ class Metric(NamedTuple):
     A fact that is no metric (a count, a pass flag, a verdict) is returned as
     the plain value, and an entry with one value per model as a list of
     MetricValues. ``note`` is the exact formula variant, reported as
-    ``formula_note``; a ``{name}`` or ``{name:spec}`` in it, with ``name`` an
-    identifier, stands for the context's attribute of that name.
+    ``formula_note``: a string, or a function of the context for a note that
+    depends on the run.
     """
 
     id: str
     fn: Callable
-    note: str
+    note: str | Callable
 
 
 def evaluate(table: dict, ctx, ids=None, family: str = "") -> dict:
     """Each requested entry's value on ``ctx``, by id in catalog order.
 
     ``ids=None`` requests the whole table; otherwise an empty request or an
-    id the table lacks is a UsageError naming the ``family``.
+    id the table lacks is a UsageError naming the ``family``. An ``fsum`` over
+    terms that overflowed to both infinities is an OverflowError.
     """
     if ids is not None:
         requested = set(ids)
@@ -152,7 +153,10 @@ def evaluate(table: dict, ctx, ids=None, family: str = "") -> dict:
         if unknown:
             raise UsageError(f"unknown {family} metric id(s): {', '.join(unknown)}")
         table = {metric_id: m for metric_id, m in table.items() if metric_id in requested}
-    return {metric_id: m.fn(ctx) for metric_id, m in table.items()}
+    try:
+        return {metric_id: m.fn(ctx) for metric_id, m in table.items()}
+    except ValueError as exc:  # fsum's "-inf + inf", the only ValueError a metric raises
+        raise OverflowError(exc) from exc
 
 
 def _check_finite(values, name):

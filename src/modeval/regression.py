@@ -37,7 +37,6 @@ from typing import NamedTuple
 
 from ._stats import sum_abs_dev, sum_sq_dev
 from .dataset import Metric, MetricValue, PairedSeries, evaluate
-from .errors import UsageError
 
 
 class RegressionReport(NamedTuple):
@@ -298,10 +297,8 @@ METRIC_IDS: tuple[str, ...] = tuple(METRICS)
 def point_metric(metric_id: str, data: PairedSeries, *,
                  skip_undefined_terms: bool = False) -> MetricValue:
     """Evaluate one metric from the catalog on a paired series."""
-    metric = METRICS.get(metric_id)
-    if metric is None:
-        raise UsageError(f"unknown regression metric id {metric_id!r}")
-    return metric.fn(SeriesContext(data, skip_undefined_terms))
+    ctx = SeriesContext(data, skip_undefined_terms)
+    return evaluate(METRICS, ctx, [metric_id], "regression")[metric_id]
 
 
 def regression_report(data: PairedSeries, ids, *,

@@ -1,14 +1,22 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+import tempfile
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _golden import GOLDEN_RUNS
 from modeval.cli import main
@@ -427,17 +435,23 @@ class TestValidate:
             assert tuple(inspect.signature(check.report).parameters) == check.needs, name
 
 
-def test_note_placeholders_are_filled_only_where_a_value_belongs():
-    # {name} or {name:spec} with an identifier name is filled from the context;
-    # recall_{n-1} and A_{i-1} are literal
+def test_notes_are_strings_except_the_three_that_state_a_run_value():
+    # ACA's weight, LIFT's fraction and CAL's window count come from the run;
+    # the golden snapshots pin the text of all three
     from modeval import classification, curves, regression, validation
-    from modeval.cli import _PLACEHOLDER
+    from modeval.dataset import confusion_from_scores, load_scored_csv
 
     tables = [regression.METRICS, classification.COUNTS, classification.METRICS,
               curves.METRICS, *(check.table for check in validation.CHECKS.values())]
     entries = [m for table in tables for m in table.values()]
-    assert sorted(m.id for m in entries if _PLACEHOLDER.search(m.note)) == ["ACA", "CAL", "LIFT"]
-    assert "{n-1}" in curves.METRICS["AP"].note and "{i-1}" in regression.METRICS["MASE"].note
+    assert sorted(m.id for m in entries if not isinstance(m.note, str)) == ["ACA", "CAL", "LIFT"]
+    c1 = load_scored_csv((FIXTURES / "c1.csv").read_bytes(), "label", "score", "pos")
+    ties = load_scored_csv((FIXTURES / "ties.csv").read_bytes(), "label", "score", "pos")
+    threshold = classification.ThresholdContext(c1, confusion_from_scores(c1, 0.5))
+    sweep = curves.CurveContext(ties, "pr", 0.5, cal=True)
+    for m, ctx in ((classification.METRICS["ACA"], threshold),
+                   (curves.METRICS["LIFT"], sweep), (curves.METRICS["CAL"], sweep)):
+        assert isinstance(m.note(ctx), str), m.id
 
 
 class TestDeterminism:
@@ -472,6 +486,156 @@ class TestOverflow:
         assert code == 2 and not out
         assert err.startswith("modeval: error:") and "Traceback" not in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rows, metrics", [
+        ("1e308,-1e308\n-1e308,1e308\n3,4\n", "ME"),
+        ("1e308,-1e308\n-1e308,1e308\n3,4\n", "all"),
+        ("1e-300,-1e10\n1e-300,1e10\n", "MNB"),
+        ("1e-300,-1e10\n1e-300,1e10\n", "MPE"),
+    ], ids=["ME", "all", "MNB", "MPE"])
+    def test_terms_overflowing_to_both_infinities_are_an_overflow(self, capsys, tmp_path,
+                                                                  rows, metrics):
+        # the mean's fsum meets a +inf and a -inf term
+        path = tmp_path / "signs.csv"
+        path.write_text("a,p\n" + rows)
+        code, out, err = run_cli(capsys, "regress", "--input", str(path),
+                                 "--actual-col", "a", "--predicted-col", "p",
+                                 "--metrics", metrics)
+        assert code == 2 and not out
+        assert err.startswith("modeval: error: numeric overflow: ") and err.count("\n") == 1
+
+
+# Adversarial finite floats: the ends of the range, values whose squares
+# overflow, the smallest subnormal, whose reciprocal overflows, -0.0, and a
+# few ordinary values.
+_NUMBERS = (1e308, -1e308, 1e154, -1e154, 5e-324, -5e-324, -0.0, 1.0, -2.5, 3.0)
+
+
+def _csv(header: str, first_cell):
+    # rows mix signs: a file may follow each row with a copy whose actual, or
+    # both of whose cells, change sign
+    def text(drawn):
+        rows, signs = drawn
+        if signs:
+            rows = [row for a, p in rows for row in ((a, p), (signs[0] * a, signs[1] * p))]
+        return header + "".join(f"{first_cell(a)},{p!r}\n" for a, p in rows)
+
+    row = st.tuples(st.sampled_from(_NUMBERS), st.sampled_from(_NUMBERS))
+    signs = st.sampled_from([None, (-1, 1), (-1, -1)])
+    rows = st.tuples(st.lists(row, min_size=1, max_size=24), signs)
+    return rows.map(text).map(str.encode) | st.binary(max_size=64)
+
+
+_PAIRED = _csv("a,p\n", repr)
+_SCORED = _csv("label,score\n", lambda a: "pos" if a > 0 else "neg")
+
+
+class TestCliFuzz:
+    """Any small input ends in exit code 0-3; no exception escapes ``main``."""
+
+    @staticmethod
+    def _argv(command, draw, write):
+        def option(name, *choices):
+            return f"--{name}={draw(st.sampled_from(choices))}"
+
+        def flags(*choices):
+            return draw(st.lists(st.sampled_from(choices), unique=True))
+
+        def number():
+            return repr(draw(st.sampled_from(_NUMBERS) | st.floats(0.0, 1.0)))
+
+        paired = ["--actual-col=a", "--predicted-col=p"]
+        scored = ["--label-col=label", "--score-col=score", "--positive=pos"]
+        if command == "regress":
+            return ["regress", f"--input={write(_PAIRED)}", *paired,
+                    option("metrics", "all", "ME", "MNB,MPE"),
+                    *flags("--ordered", "--skip-undefined-terms", "--drop-bad-rows",
+                           "--strict", "--format=table")]
+        if command == "classify":
+            return ["classify", f"--input={write(_SCORED)}", *scored,
+                    option("metrics", "all", "ACA", "LOG_LOSS,MXE,BRIER", "CM,WHD,HINGE"),
+                    f"--threshold={number()}", f"--aca-weight={number()}",
+                    *flags("--drop-bad-rows", "--strict", "--format=table")]
+        if command == "curves":
+            lift = [f"--lift-fraction={number()}"] if draw(st.booleans()) else []
+            return ["curves", f"--input={write(_SCORED)}", *scored, *lift,
+                    option("kind", "roc", "pr"),
+                    *flags("--cal", f"--emit-points={write(st.just(b''))}", "--format=table")]
+        check = command.removeprefix("validate-")
+        if check == "adequacy":
+            counts = st.integers(-2, 200) | st.integers()
+            return ["validate", "--check=adequacy", f"--observations={draw(counts)}",
+                    f"--parameters={draw(counts)}", *flags("--format=table")]
+        if check == "objective":
+            files = [f"--train={write(_PAIRED)}", f"--validation={write(_PAIRED)}"]
+        elif check == "ri":
+            files = [f"--model=m{i}={write(_PAIRED)}"
+                     for i in range(draw(st.integers(2, 3)))]
+        else:
+            files = [f"--input={write(_PAIRED)}"]
+        return ["validate", f"--check={check}", *files, *paired, *flags("--format=table")]
+
+    # regress gets the most examples: its overflowing residuals need two
+    # rows that meet by chance
+    @pytest.mark.parametrize("command, examples", [
+        ("regress", 250), ("classify", 25), ("curves", 25), ("validate-tropsha", 25),
+        ("validate-rm", 25), ("validate-adequacy", 25), ("validate-objective", 25),
+        ("validate-ri", 25)])
+    def test_exit_code_is_a_documented_one(self, command, examples):
+        @settings(max_examples=examples, deadline=None)
+        @given(data=st.data())
+        def run(data):
+            with tempfile.TemporaryDirectory() as tmp:
+                paths = iter(Path(tmp, f"in{i}.csv") for i in itertools.count())
+
+                def write(contents):
+                    path = next(paths)
+                    path.write_bytes(data.draw(contents))
+                    return path
+
+                argv = self._argv(command, data.draw, write)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            assert code in (0, 1, 2, 3), err.getvalue()
+            if code in (1, 2):
+                assert not out.getvalue()
+                assert err.getvalue().startswith("modeval: ")
+                assert "Traceback" not in err.getvalue()
+
+        run()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+class TestPipeInput:
+    """A pipe cannot seek or say where it stands, so the digesting reader
+    counts its own position for the loaders' byte offsets."""
+
+    @staticmethod
+    def _regress(capsys, tmp_path, data):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        # a daemon, so that a run that never opens the pipe cannot hang the suite
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            return run_cli(capsys, "regress", "--input", str(path),
+                           "--actual-col", "a", "--predicted-col", "p")
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    def test_digest_is_the_sha256_of_the_bytes_written(self, capsys, tmp_path):
+        data = b"a,p\n" + b"1.25,2.5\n" * 20_000
+        code, out, err = self._regress(capsys, tmp_path, data)
+        assert code == 0, err
+        assert json.loads(out)["input_digest"] == hashlib.sha256(data).hexdigest()
+
+    def test_bad_byte_offset(self, capsys, tmp_path):
+        code, out, err = self._regress(capsys, tmp_path, b"a,p\n1,2\n3,\xff4\n")
+        assert code == 2 and not out
+        assert err == ("modeval: error: input is not valid UTF-8: invalid start byte "
+                       "at byte 10\n")
 
 
 class TestCsvReaderError:

@@ -181,6 +181,14 @@ class TestReport:
         with pytest.raises(UsageError):
             point_metric("BOGUS", f1)
 
+    def test_residuals_overflowing_to_both_infinities_are_an_overflow(self):
+        # fsum refuses a +inf and a -inf term; evaluate names it an overflow
+        series = PairedSeries([1e308, -1e308], [-1e308, 1e308])
+        with pytest.raises(OverflowError):
+            point_metric("ME", series)
+        with pytest.raises(OverflowError):
+            regression_report(series, ["ME"])
+
     def test_notes_cover_catalog(self):
         # every catalog entry states its own formula, which names the metric
         assert tuple(METRICS) == METRIC_IDS
