@@ -203,7 +203,7 @@ class ProbabilityMatrix(_Frozen):
 
     def __init__(self, rows, true_class):
         rows = tuple(tuple(float(v) for v in row) for row in rows)
-        true_class = tuple(int(c) for c in true_class)
+        true_class = tuple(true_class)
         if len(rows) != len(true_class):
             raise DataError(f"{len(rows)} probability rows but {len(true_class)} true classes")
         if not rows:
@@ -217,9 +217,10 @@ class ProbabilityMatrix(_Frozen):
             if abs(fsum(row) - 1.0) > 1e-9:
                 raise DataError(f"row {i} does not sum to 1 within 1e-9")
         for i, c in enumerate(true_class):
-            if not 0 <= c < width:
-                raise DataError(f"true_class[{i}] = {c} outside 0..{width - 1}")
-        self._set(rows, true_class)
+            # a scored set's bool flags are int classes (False is 0, True is 1); 0.9 is none
+            if not isinstance(c, int) or not 0 <= c < width:
+                raise DataError(f"true_class[{i}] = {c!r} is not an integer in 0..{width - 1}")
+        self._set(rows, tuple(map(int, true_class)))
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -11,6 +11,12 @@ records: only LF, CRLF and CR end one, and a quoted field may hold a line
 break. A quote left open at the end of the input, or text after a closing
 quote, is an error. Row N in a message is the Nth non-blank record after the
 header.
+
+Both loaders read through one private reader, ``_load``. It streams the
+records and hands each row's cells to the loader's ``keep`` function, which
+stores the row's values or rejects the row. It alone names a rejected row's
+first bad cell, drops the row under ``drop_bad_rows`` and counts it, and turns
+a csv or UTF-8 error into a DataError.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import io
 import math
 from array import array
 from collections.abc import Callable
-from contextlib import contextmanager
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, itemgetter, ne
@@ -285,6 +290,13 @@ class ScoredBinarySet(_Frozen):
         return Ranking(scores, cum_positives, ends, tuple(compress(scores, starts)))
 
 
+def _check_counts(named_counts) -> None:
+    # a bool is an int but no count, and 1.9, 1.0 or "3" is no count either
+    for name, v in named_counts:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise DataError(f"{name} must be a non-negative integer, got {v!r}")
+
+
 class ConfusionMatrix2(_Frozen):
     """2-class count table: true/false positives and negatives."""
 
@@ -294,9 +306,7 @@ class ConfusionMatrix2(_Frozen):
     tn: int
 
     def __init__(self, tp: int, fp: int, fn: int, tn: int):
-        for name, v in (("tp", tp), ("fp", fp), ("fn", fn), ("tn", tn)):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise DataError(f"{name} must be a non-negative integer, got {v!r}")
+        _check_counts(zip(self._fields, (tp, fp, fn, tn)))
         self._set(tp, fp, fn, tn)
         if self.total < 1:
             raise DataError("a confusion matrix needs at least one observation")
@@ -314,7 +324,7 @@ class ConfusionMatrixK(_Frozen):
 
     def __init__(self, classes, counts):
         classes = tuple(str(c) for c in classes)
-        counts = tuple(tuple(int(v) for v in row) for row in counts)
+        counts = tuple(map(tuple, counts))
         if len(classes) < 2:
             raise SchemaError("a class confusion table needs at least 2 classes")
         if len(set(classes)) != len(classes):
@@ -322,8 +332,8 @@ class ConfusionMatrixK(_Frozen):
         k = len(classes)
         if len(counts) != k or any(len(row) != k for row in counts):
             raise DataError(f"counts must be a {k}x{k} table")
-        if any(v < 0 for row in counts for v in row):
-            raise DataError("counts must be non-negative")
+        _check_counts((f"counts[{i}][{j}]", v)
+                      for i, row in enumerate(counts) for j, v in enumerate(row))
         self._set(classes, counts)
         if self.total < 1:
             raise DataError("a confusion matrix needs at least one observation")
@@ -352,10 +362,40 @@ class ConfusionMatrixK(_Frozen):
 # CSV ingestion
 
 
-@contextmanager
-def _records(source):
-    """The header, a lazy iterator over the non-blank records after it, and
-    the byte stream under them, for the body of a ``with`` block.
+def _column_index(header, name):
+    try:
+        return header.index(name)
+    except ValueError:
+        raise SchemaError(f"column {name!r} not found in header {header}") from None
+
+
+def _check_cell(row, row_number, index, column, numeric) -> None:
+    """Raise the DataError for the cell of ``row`` in ``column`` if it is
+    missing or, in a ``numeric`` column, not a finite number."""
+    try:
+        cell = row[index]
+    except IndexError:
+        raise DataError(f"row {row_number}: missing value in column {column!r}") from None
+    if not numeric:
+        return
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(
+            f"row {row_number}, column {column!r}: cannot parse {cell!r} as a number") from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row_number}, column {column!r}: non-finite value {cell!r}")
+
+
+def _load(source, columns, keep, drop_bad_rows: bool, warnings: list | None) -> None:
+    """Read the records of a header-bearing CSV and hand each one's cells to ``keep``.
+
+    ``columns`` names the cells to read as ``(name, numeric)`` pairs, in the
+    order ``keep`` takes them. ``keep`` stores a row's values, or raises
+    ValueError and stores nothing. Such a row is bad: the per-cell checks
+    raise the DataError for its first bad cell, or, with ``drop_bad_rows``,
+    the row is counted and dropped. A row with too few cells never reaches
+    ``keep``.
 
     The csv module splits records straight from a binary stream, so no
     decoded copy of the whole text and no list of lines is ever held. A
@@ -377,56 +417,37 @@ def _records(source):
             raise UsageError("CSV source must be bytes, text, or a file-like object")
         raw = io.BytesIO(data)
     text = io.TextIOWrapper(raw, encoding="utf-8-sig", errors=errors, newline="")
+    header, number, dropped = None, 0, 0
     try:
         rows = filter(None, csv.reader(text, strict=True))
-        try:
-            header = next(rows, None)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _read_error(exc, "header row", raw) from None
+        header = next(rows, None)
         if header is None:
             raise EmptyInputError("CSV has no header row")
-        yield header, rows, raw
+        indices = [_column_index(header, name) for name, _ in columns]
+        cells = itemgetter(*indices)
+        for number, row in enumerate(rows, start=1):
+            try:
+                keep(*cells(row))
+                continue
+            except (IndexError, ValueError):
+                pass
+            if not drop_bad_rows:
+                for index, (name, numeric) in zip(indices, columns):
+                    _check_cell(row, number, index, name, numeric)
+            dropped += 1
+    except csv.Error as exc:
+        where = "header row" if header is None else f"row {number + 1}"
+        raise DataError(f"{where}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # the decoder saw a chunk that ends where the byte stream now stands
+        offset = raw.tell() - len(exc.object) + exc.start
+        raise DataError(f"input is not valid UTF-8: {exc.reason} at byte {offset}") from None
     finally:
         text.detach()
-
-
-def _read_error(exc: csv.Error | UnicodeDecodeError, where: str, raw) -> DataError:
-    """The DataError for a record that the csv module or the UTF-8 decoder
-    rejected; ``where`` names the record for a csv.Error."""
-    if isinstance(exc, csv.Error):
-        return DataError(f"{where}: {exc}")
-    # the decoder saw a chunk that ends where the byte stream now stands
-    offset = raw.tell() - len(exc.object) + exc.start
-    return DataError(f"input is not valid UTF-8: {exc.reason} at byte {offset}")
-
-
-def _check_kept(kept: list, dropped: int, warnings: list | None) -> None:
     if dropped and warnings is not None:
         warnings.append(f"dropped {dropped} row(s) with unusable cells")
-    if not kept:
+    if dropped == number:
         raise EmptyInputError("no usable data rows")
-
-
-def _column_index(header, name):
-    try:
-        return header.index(name)
-    except ValueError:
-        raise SchemaError(f"column {name!r} not found in header {header}") from None
-
-
-def _parse_cell(row, row_number, index, column) -> float:
-    try:
-        cell = row[index]
-    except IndexError:
-        raise DataError(f"row {row_number}: missing value in column {column!r}") from None
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(
-            f"row {row_number}, column {column!r}: cannot parse {cell!r} as a number") from None
-    if not math.isfinite(value):
-        raise DataError(f"row {row_number}, column {column!r}: non-finite value {cell!r}")
-    return value
 
 
 def load_paired_csv(source, actual_column: str, predicted_column: str,
@@ -443,34 +464,17 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
     left open at the end of the input, text after a closing quote) is a
     DataError either way.
     """
-    with _records(source) as (header, rows, raw):
-        ai = _column_index(header, actual_column)
-        pi = _column_index(header, predicted_column)
-        cells = itemgetter(ai, pi)
-        isfinite = math.isfinite
-        actual, predicted, dropped, number = [], [], 0, 0
-        try:
-            for number, row in enumerate(rows, start=1):
-                try:
-                    a_cell, p_cell = cells(row)
-                    a, p = float(a_cell), float(p_cell)
-                    if isfinite(a) and isfinite(p):
-                        actual.append(a)
-                        predicted.append(p)
-                        continue
-                except (IndexError, ValueError):
-                    pass
-                # a bad row: the per-cell checks raise the message for its first bad cell
-                try:
-                    _parse_cell(row, number, ai, actual_column)
-                    _parse_cell(row, number, pi, predicted_column)
-                except DataError:
-                    if not drop_bad_rows:
-                        raise
-                    dropped += 1
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _read_error(exc, f"row {number + 1}", raw) from None
-    _check_kept(actual, dropped, warnings)
+    actual, predicted = [], []
+
+    def keep(a_cell, p_cell):
+        a, p = float(a_cell), float(p_cell)
+        if not (math.isfinite(a) and math.isfinite(p)):
+            raise ValueError
+        actual.append(a)
+        predicted.append(p)
+
+    _load(source, ((actual_column, True), (predicted_column, True)), keep,
+          drop_bad_rows, warnings)
     return PairedSeries(actual, predicted, ordered)
 
 
@@ -485,38 +489,19 @@ def load_scored_csv(source, label_column: str, score_column: str,
     ``positive_label`` loads as all-negative with a warning, so degenerate
     single-class data can still be scored.
     """
-    with _records(source) as (header, rows, raw):
-        li = _column_index(header, label_column)
-        si = _column_index(header, score_column)
-        cells = itemgetter(li, si)
-        isfinite = math.isfinite
-        # one of two shared strings per row; the raw labels are kept once each
-        labels, scores, distinct, dropped, number = [], [], set(), 0, 0
-        try:
-            for number, row in enumerate(rows, start=1):
-                try:
-                    label, cell = cells(row)
-                    score = float(cell)
-                    if isfinite(score):
-                        distinct.add(label)
-                        labels.append(POSITIVE if label == positive_label else NEGATIVE)
-                        scores.append(score)
-                        continue
-                except (IndexError, ValueError):
-                    pass
-                # a bad row: the per-cell checks raise the message for its first bad cell
-                try:
-                    if li >= len(row):
-                        raise DataError(
-                            f"row {number}: missing value in column {label_column!r}")
-                    _parse_cell(row, number, si, score_column)
-                except DataError:
-                    if not drop_bad_rows:
-                        raise
-                    dropped += 1
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise _read_error(exc, f"row {number + 1}", raw) from None
-    _check_kept(labels, dropped, warnings)
+    # one of two shared strings per row; the raw labels are kept once each
+    labels, scores, distinct = [], [], set()
+
+    def keep(label, cell):
+        score = float(cell)
+        if not math.isfinite(score):
+            raise ValueError
+        distinct.add(label)
+        labels.append(POSITIVE if label == positive_label else NEGATIVE)
+        scores.append(score)
+
+    _load(source, ((label_column, False), (score_column, True)), keep,
+          drop_bad_rows, warnings)
     distinct = sorted(distinct)
     if len(distinct) > 2:
         raise SchemaError(

@@ -23,7 +23,7 @@ from math import fsum
 from typing import NamedTuple
 
 from .dataset import Metric, MetricValue, PairedSeries
-from .errors import DefinednessError, UsageError
+from .errors import DataError, DefinednessError, UsageError
 from .regression import METRICS, SeriesContext
 
 # Not called here: the centred sums and the RMSE/MAE/MAPE values come from one
@@ -198,7 +198,8 @@ def _min_max_normalize(column):
 def reference_index_from_metrics(model_ids, triples) -> RiRanking:
     """Rank models by the mean of min-max normalized (RMSE, MAE, MAPE).
 
-    ``triples`` holds one (rmse, mae, mape) per model. Zero-range columns
+    ``triples`` holds one (rmse, mae, mape) per model: three finite
+    non-negative numbers, or a DataError names the model. Zero-range columns
     normalize to 0 for every model and are reported in ``tied_columns``.
     """
     model_ids = tuple(str(m) for m in model_ids)
@@ -209,6 +210,11 @@ def reference_index_from_metrics(model_ids, triples) -> RiRanking:
         raise UsageError("reference index needs at least 2 models")
     if len(set(model_ids)) != len(model_ids):
         raise UsageError(f"duplicate model ids in {model_ids}")
+    for model_id, triple in zip(model_ids, triples):
+        # a negative error would let a column's range overflow to inf and its ri be NaN
+        if len(triple) != 3 or not all(0.0 <= v < math.inf for v in triple):
+            raise DataError(f"model {model_id!r}: (RMSE, MAE, MAPE) must be three "
+                            f"finite non-negative numbers, got {triple}")
     normalized = {}
     tied = []
     for j, name in enumerate(("RMSE", "MAE", "MAPE")):

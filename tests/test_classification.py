@@ -302,6 +302,16 @@ class TestLogLoss:
         with pytest.raises(DataError):
             ProbabilityMatrix(((1.2, -0.2),), (0,))
 
+    @pytest.mark.parametrize("bad", [0.9, 1.0, "1"])
+    def test_true_class_is_an_integer(self, bad):
+        with pytest.raises(DataError, match=r"^true_class\[1\] = .* is not an integer"):
+            ProbabilityMatrix(((0.5, 0.5), (0.5, 0.5)), (0, bad))
+
+    def test_true_class_takes_the_flags_of_a_scored_set(self):
+        pm = ProbabilityMatrix(((0.25, 0.75), (1.0, 0.0)), (True, False))
+        assert pm.true_class == (1, 0)
+        assert all(type(c) is int for c in pm.true_class)
+
 
 class TestCrossEntropyAndBrier:
     def test_perfect_confident(self):

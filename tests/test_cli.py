@@ -640,6 +640,7 @@ class TestPipeInput:
 
 class TestCsvReaderError:
     LONG = '"' + "9" * 131_073 + '"'  # one past the csv module's field size limit
+    COMMAND = ["regress", "--actual-col", "a", "--predicted-col", "p", "--metrics", "MAE"]
 
     @pytest.mark.parametrize("text, where", [
         ("a,p\n1,2\n\n" + LONG + ",3\n", "row 2"),
@@ -649,8 +650,7 @@ class TestCsvReaderError:
                                                                 text, where):
         path = tmp_path / "long.csv"
         path.write_text(text)
-        code, out, err = run_cli(capsys, "regress", "--input", str(path),
-                                 "--actual-col", "a", "--predicted-col", "p")
+        code, out, err = run_cli(capsys, *self.COMMAND, "--input", str(path))
         assert code == 2 and not out
         assert err.startswith(f"modeval: error: {where}: ") and "Traceback" not in err
 
@@ -663,11 +663,16 @@ class TestCsvReaderError:
     def test_bad_quoting_names_the_row(self, capsys, tmp_path, text, message, drop):
         path = tmp_path / "quotes.csv"
         path.write_text(text)
-        code, out, err = run_cli(capsys, "regress", "--input", str(path),
-                                 "--actual-col", "a", "--predicted-col", "p",
-                                 "--metrics", "MAE", *drop)
+        code, out, err = run_cli(capsys, *self.COMMAND, "--input", str(path), *drop)
         assert code == 2 and not out
         assert err == f"modeval: error: row 2: {message}\n"
+
+
+class TestScoredCsvReaderError(TestCsvReaderError):
+    """The same records through the scored loader: both loaders share one reader,
+    so both name a record the csv module rejects in the same words."""
+
+    COMMAND = ["classify", "--label-col", "a", "--score-col", "p", "--positive", "1"]
 
 
 class TestInvalidUtf8:

@@ -483,6 +483,14 @@ class TestMatrixTypes:
         with pytest.raises(DataError):
             ConfusionMatrix2(1.5, 0, 0, 2)
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, "3", -1])
+    def test_a_count_is_a_non_negative_int(self, bad):
+        with pytest.raises(DataError, match=r"^tp must be a non-negative integer, got "):
+            ConfusionMatrix2(bad, 0, 0, 2)
+        with pytest.raises(DataError,
+                           match=r"^counts\[1\]\[0\] must be a non-negative integer, got "):
+            ConfusionMatrixK(("a", "b"), ((1, 0), (bad, 1)))
+
     def test_matrixk_shape_checks(self):
         with pytest.raises(SchemaError):
             ConfusionMatrixK(("a",), ((1,),))

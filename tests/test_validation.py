@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from modeval.dataset import PairedSeries
-from modeval.errors import DefinednessError, UsageError
+from modeval.errors import DataError, DefinednessError, UsageError
 from modeval.validation import (AdequacyReport, data_adequacy_ratio,
                                 gandomi_objective, reference_index,
                                 reference_index_from_metrics, roy_rm,
@@ -219,6 +219,13 @@ class TestReferenceIndex:
             reference_index([("only", PairedSeries([1, 2], [1, 2]))])
         with pytest.raises(UsageError):
             reference_index_from_metrics(["only"], [(1, 2, 3)])
+
+    @pytest.mark.parametrize("bad", [(3, 4), (3, 4, 5, 6), (3, 4, math.inf),
+                                     (math.nan, 4, 5), (-1e308, 4, 5)],
+                             ids=["short", "long", "inf", "nan", "negative"])
+    def test_triple_must_be_three_finite_non_negative_numbers(self, bad):
+        with pytest.raises(DataError, match=r"^model 'b': \(RMSE, MAE, MAPE\) must be"):
+            reference_index_from_metrics(["a", "b"], [(1e308, 2, 3), bad])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(UsageError):
