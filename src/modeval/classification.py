@@ -42,10 +42,6 @@ class RateSet(NamedTuple):
     fdr: MetricValue
     for_rate: MetricValue
 
-    def as_dict(self) -> dict:
-        return {"TPR": self.tpr, "TNR": self.tnr, "PPV": self.ppv, "NPV": self.npv,
-                "FPR": self.fpr, "FNR": self.fnr, "FDR": self.fdr, "FOR": self.for_rate}
-
 
 def _rate(metric_id: str, numerator: int, denominator: int) -> MetricValue:
     if denominator == 0:

@@ -196,9 +196,9 @@ def _cmd_regress(args, inputs: _Inputs) -> list:
 
     data = inputs.paired(args.input, args, ordered=args.ordered,
                          drop_bad_rows=args.drop_bad_rows)
-    report = regression.regression_report(data, _metric_ids(args.metrics, regression.METRICS),
+    values = regression.regression_report(data, _metric_ids(args.metrics, regression.METRICS),
                                           skip_undefined_terms=args.skip_undefined_terms)
-    return _report(regression.METRICS, report.metrics)
+    return _report(regression.METRICS, values)
 
 
 def _cmd_classify(args, inputs: _Inputs) -> list:

@@ -8,6 +8,9 @@ ROC step), which makes the trapezoidal AUC equal the pairwise ranking
 probability with ties counted as one half. That equivalence is this module's
 core oracle test.
 
+A curve is its x, y and threshold columns, in that order, so
+``zip(*curve)`` gives its vertices as (x, y, threshold) rows.
+
 ``METRICS`` holds the entries the CLI reports, over a ``CurveContext``.
 """
 
@@ -27,50 +30,28 @@ from .errors import DataError, DefinednessError, UsageError
 CAL_WINDOW_SIZE = 100
 
 
-class RocPoint(NamedTuple):
-    fpr: float
-    tpr: float
-    threshold: float
-
-
-class PrPoint(NamedTuple):
-    recall: float
-    precision: float
-    threshold: float
-
-
 class RocCurve(NamedTuple):
     """Threshold sweep from (0,0) to (1,1); one vertex per distinct score.
 
     Held as three float columns: the rates are ``array("d")``, the thresholds
-    a tuple of the scored set's own floats after a leading ``inf``. ``points``
-    builds the rows on demand.
+    a tuple of the scored set's own floats after a leading ``inf``.
     """
 
     fpr: array
     tpr: array
     thresholds: tuple[float, ...]
 
-    @property
-    def points(self) -> tuple[RocPoint, ...]:
-        return tuple(map(RocPoint, self.fpr, self.tpr, self.thresholds))
-
 
 class PrCurve(NamedTuple):
     """Threshold sweep over distinct scores; recall reaches 1 at the last point.
 
     Held as three float columns: the rates are ``array("d")``, the thresholds
-    a tuple of the scored set's own floats. ``points`` builds the rows on
-    demand.
+    a tuple of the scored set's own floats.
     """
 
     recall: array
     precision: array
     thresholds: tuple[float, ...]
-
-    @property
-    def points(self) -> tuple[PrPoint, ...]:
-        return tuple(map(PrPoint, self.recall, self.precision, self.thresholds))
 
 
 class CalibrationReport(NamedTuple):

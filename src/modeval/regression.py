@@ -22,6 +22,9 @@ exception. Reasons used here:
 Per-term failures (for example one zero actual under MAPE) make the whole
 metric undefined by default; ``skip_undefined_terms`` instead recomputes over
 the defined subset and records how many terms were dropped.
+
+``regression_report`` returns a plain dict of MetricValues keyed by id, and
+``SeriesContext.e`` is the one residual column.
 """
 
 from __future__ import annotations
@@ -33,21 +36,9 @@ from functools import cached_property
 from itertools import compress, islice, repeat, tee
 from math import fsum
 from operator import add, mul, not_, sub, truediv
-from typing import NamedTuple
 
 from ._stats import sum_abs_dev, sum_sq_dev
 from .dataset import Metric, MetricValue, PairedSeries, evaluate
-
-
-class RegressionReport(NamedTuple):
-    """Batch result: one MetricValue per requested id."""
-
-    metrics: dict
-
-
-def residuals(data: PairedSeries) -> tuple[float, ...]:
-    """Signed residuals E_i = A_i - P_i, in input order."""
-    return tuple(map(sub, data.actual, data.predicted))
 
 
 class SeriesContext:
@@ -302,11 +293,10 @@ def point_metric(metric_id: str, data: PairedSeries, *,
 
 
 def regression_report(data: PairedSeries, ids, *,
-                      skip_undefined_terms: bool = False) -> RegressionReport:
+                      skip_undefined_terms: bool = False) -> dict:
     """Evaluate a set of metric ids, computing each shared statistic at most once.
 
-    Results are keyed by id and ordered by catalog order regardless of the
-    order ids were supplied in.
+    Returns one MetricValue per id, keyed by id and ordered by catalog order
+    regardless of the order ids were supplied in.
     """
-    ctx = SeriesContext(data, skip_undefined_terms)
-    return RegressionReport(metrics=evaluate(METRICS, ctx, ids, "regression"))
+    return evaluate(METRICS, SeriesContext(data, skip_undefined_terms), ids, "regression")

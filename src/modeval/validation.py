@@ -3,7 +3,8 @@
 Covers the through-origin slope criterion (k, k', m, n), the external
 predictability indicator Rm, the observation-to-parameter adequacy ratio, the
 train/validation composite objective, and the normalized reference index for
-ranking candidate models.
+ranking candidate models. Rm is built from the slope criterion's R2 and Ro2,
+so one ``TropshaReport`` carries both.
 
 R-squared here is the squared Pearson correlation of actuals and predictions,
 which requires both series to be non-constant; degenerate inputs raise
@@ -39,7 +40,8 @@ ADEQUACY_RANGE = (3.0, 5.0)
 
 
 class TropshaReport(NamedTuple):
-    """Through-origin slopes, their performance indexes, and the pass flags."""
+    """Through-origin slopes, their performance indexes and pass flags, and the
+    external predictability indicator Rm with its own pass flag."""
 
     r2: float
     k: float
@@ -52,23 +54,8 @@ class TropshaReport(NamedTuple):
     pass_m: bool
     pass_n: bool
     overall_pass: bool
-
-
-class RmReport(NamedTuple):
-    """External predictability indicator with its pass flag."""
-
     rm: float
-    r2: float
-    ro2: float
-    passed: bool
-
-
-class AdequacyReport(NamedTuple):
-    """Observations-per-parameter ratio with its verdict."""
-
-    ratio: float
-    verdict: str  # below | within | above
-    adequate: bool
+    pass_rm: bool
 
 
 class RiRanking(NamedTuple):
@@ -117,7 +104,8 @@ def tropsha_criteria(data: PairedSeries) -> TropshaReport:
     """Slope-through-origin validation.
 
     Passes when at least one slope lies within ``SLOPE_RANGE`` and both
-    performance indexes are below ``INDEX_LIMIT`` in magnitude.
+    performance indexes are below ``INDEX_LIMIT`` in magnitude. Rm passes
+    above ``RM_THRESHOLD``.
     """
     if len(data) < 3:
         raise DefinednessError("slope criterion needs at least 3 observations")
@@ -135,36 +123,39 @@ def tropsha_criteria(data: PairedSeries) -> TropshaReport:
     pass_k = (low <= k <= high) or (low <= k_prime <= high)
     pass_m = m_index is not None and abs(m_index) < INDEX_LIMIT
     pass_n = n_index is not None and abs(n_index) < INDEX_LIMIT
+    rm = r2 * (1.0 - math.sqrt(abs(r2 - ro2)))
     return TropshaReport(r2=r2, k=k, k_prime=k_prime, ro2=ro2, ro2_prime=ro2_prime,
                          m_index=m_index, n_index=n_index, pass_k=pass_k,
                          pass_m=pass_m, pass_n=pass_n,
-                         overall_pass=pass_k and pass_m and pass_n)
+                         overall_pass=pass_k and pass_m and pass_n,
+                         rm=rm, pass_rm=rm > RM_THRESHOLD)
 
 
-def roy_rm(data: PairedSeries) -> RmReport:
-    """External predictability indicator Rm = R2 * (1 - sqrt(|R2 - Ro2|))."""
-    rep = tropsha_criteria(data)  # R2 and Ro2 of the slope criterion
-    rm = rep.r2 * (1.0 - math.sqrt(abs(rep.r2 - rep.ro2)))
-    return RmReport(rm=rm, r2=rep.r2, ro2=rep.ro2, passed=rm > RM_THRESHOLD)
+def roy_rm(data: PairedSeries) -> TropshaReport:
+    """External predictability indicator Rm = R2 * (1 - sqrt(|R2 - Ro2|)), with
+    the R2 and Ro2 of the slope criterion: its report carries all three."""
+    return tropsha_criteria(data)
 
 
-def data_adequacy_ratio(observation_count: int, parameter_count: int) -> AdequacyReport:
-    """Observations per input parameter; below 3 is flagged as inadequate."""
-    observation_count = int(observation_count)
-    parameter_count = int(parameter_count)
+def data_adequacy_ratio(observation_count: int, parameter_count: int) -> float:
+    """Observations per input parameter; ``adequacy_verdict`` grades it."""
+    for name, count in (("observation", observation_count), ("parameter", parameter_count)):
+        # a bool is an int but no count, and 10.9 or "7" is no count either
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise UsageError(f"{name} count must be an integer, got {count!r}")
     if parameter_count < 1:
         raise UsageError(f"parameter count must be >= 1, got {parameter_count}")
     if observation_count < 0:
         raise UsageError(f"observation count must be >= 0, got {observation_count}")
-    ratio = observation_count / parameter_count
+    return observation_count / parameter_count
+
+
+def adequacy_verdict(ratio: float) -> str:
+    """``below``, ``within`` or ``above`` ``ADEQUACY_RANGE``; below is inadequate."""
     low, high = ADEQUACY_RANGE
     if ratio < low:
-        verdict = "below"
-    elif ratio <= high:
-        verdict = "within"
-    else:
-        verdict = "above"
-    return AdequacyReport(ratio=ratio, verdict=verdict, adequate=verdict != "below")
+        return "below"
+    return "within" if ratio <= high else "above"
 
 
 def _split_terms(series: PairedSeries):
@@ -298,16 +289,17 @@ CHECKS = {
                f"Rm = R2 * (1 - sqrt(|R2 - Ro2|)); good fit when Rm > {RM_THRESHOLD:g}"),
         Metric("R2", lambda r: _number("R2", r.r2), ""),
         Metric("RO2", lambda r: _number("RO2", r.ro2), ""),
-        Metric("PASS_RM", lambda r: r.passed, f"Rm > {RM_THRESHOLD:g}"),
+        Metric("PASS_RM", lambda r: r.pass_rm, f"Rm > {RM_THRESHOLD:g}"),
     )),
+    # the adequacy check's report is its ratio
     "adequacy": Check(("observations", "parameters"),
                       lambda observations, parameters:
                       data_adequacy_ratio(observations, parameters), _table(
-        Metric("RATIO", lambda r: _number("RATIO", r.ratio),
+        Metric("RATIO", lambda r: _number("RATIO", r),
                "ratio = observations / parameters; adequate when ratio >= {0:g} "
                "({0:g} to {1:g} is the recommended band)".format(*ADEQUACY_RANGE)),
-        Metric("VERDICT", lambda r: r.verdict, ""),
-        Metric("ADEQUATE", lambda r: r.adequate, ""),
+        Metric("VERDICT", lambda r: adequacy_verdict(r), ""),
+        Metric("ADEQUATE", lambda r: adequacy_verdict(r) != "below", ""),
     )),
     # the objective's report is its one value
     "objective": Check(("train", "validation"),

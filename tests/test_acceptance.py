@@ -71,7 +71,7 @@ def test_criterion_1_identity_suite(random_series_10k):
     with criterion(1, "identity chains on 10,000 random series (< 10 s)"):
         start = time.perf_counter()
         for series in random_series_10k:
-            report = regression_report(series, CHAIN_IDS).metrics
+            report = regression_report(series, CHAIN_IDS)
             n = len(series)
             sse = report["SSE"].value
             assert close(report["MSE"].value, sse / n)
@@ -88,7 +88,7 @@ def test_criterion_1_identity_suite(random_series_10k):
 def test_criterion_2_ordering_bounds(random_series_10k):
     with criterion(2, "MAE <= RMSE <= sqrt(n)*MAE on every criterion-1 fixture"):
         for series in random_series_10k:
-            report = regression_report(series, ("MAE", "RMSE")).metrics
+            report = regression_report(series, ("MAE", "RMSE"))
             mae, rmse = report["MAE"].value, report["RMSE"].value
             n = len(series)
             assert mae <= rmse * (1.0 + 1e-12) + 1e-12
@@ -121,7 +121,7 @@ def test_criterion_3_auc_oracle():
 def test_criterion_4_fixture_values(f1, c1, s1):
     with criterion(4, "frozen fixture values (rationals exact, irrationals 1e-9)"):
         # regression fixture, rational values exact
-        report = regression_report(f1, ("MAE", "MSE", "SSE", "R2", "R")).metrics
+        report = regression_report(f1, ("MAE", "MSE", "SSE", "R2", "R"))
         assert report["MAE"].value == float(Fraction(3, 4))
         assert report["MSE"].value == float(Fraction(3, 4))
         assert report["SSE"].value == 3.0
@@ -184,7 +184,7 @@ def test_criterion_5_definedness_catalog(random_series_10k):
 
         # randomized sweep that avoids every trigger: nothing may be undefined
         for series in random_series_10k:
-            report = regression_report(series, METRIC_IDS).metrics
+            report = regression_report(series, METRIC_IDS)
             for metric_id, mv in report.items():
                 assert mv.is_defined, (metric_id, mv.reason)
         rng = random.Random(271828)
@@ -192,7 +192,7 @@ def test_criterion_5_definedness_catalog(random_series_10k):
             matrix = ConfusionMatrix2(tp=rng.randint(1, 100), fp=rng.randint(1, 100),
                                       fn=rng.randint(1, 100), tn=rng.randint(1, 100))
             r = rates(matrix)
-            for mv in r.as_dict().values():
+            for mv in r:
                 assert mv.is_defined
             assert mcc(matrix).is_defined
             assert f_beta(matrix, 1.0).is_defined
@@ -283,9 +283,9 @@ def test_criterion_8_invariance_laws():
             scaled = PairedSeries([c * a for a in series.actual],
                                   [c * p for p in series.predicted], ordered=True)
             base = regression_report(series, scale_free + ("MAE", "RMSE", "ME",
-                                                           "MSE", "SSE")).metrics
+                                                           "MSE", "SSE"))
             after = regression_report(scaled, scale_free + ("MAE", "RMSE", "ME",
-                                                            "MSE", "SSE")).metrics
+                                                            "MSE", "SSE"))
             for metric_id in scale_free:
                 assert math.isclose(after[metric_id].value, base[metric_id].value,
                                     rel_tol=1e-10, abs_tol=1e-10), metric_id

@@ -237,7 +237,8 @@ class TestCurves:
                                          "label", "score", "pos"))
         lines = points_path.read_text().splitlines()
         assert lines == ["threshold,x,y"] + [
-            f"{p.threshold!r},{p.recall!r},{p.precision!r}" for p in curve.points]
+            f"{threshold!r},{recall!r},{precision!r}"
+            for recall, precision, threshold in zip(*curve)]
 
     def test_pr_report(self, capsys):
         code, doc = run_json(capsys, "curves", "--kind", "pr", "--input",
@@ -768,6 +769,41 @@ class TestInputStreaming:
                           "--observations", "10", "--parameters", "3")
         text = b"observations=10,parameters=3"
         assert doc["input_digest"] == hashlib.sha256(text).hexdigest()
+
+
+class TestInputFilesClosed:
+    """Every input file the CLI opens is closed when ``main`` returns. A
+    buffered reader left to the garbage collector closes itself without a
+    ResourceWarning, so the warning filters cannot see a missed close."""
+
+    @pytest.mark.parametrize("argv, code, files", [
+        (("regress", "--input", FIXTURES / "f1.csv", "--actual-col", "a",
+          "--predicted-col", "p"), 0, 1),
+        (("classify", "--input", FIXTURES / "c1.csv", "--label-col", "label",
+          "--score-col", "score", "--positive", "pos"), 0, 1),
+        (("curves", "--kind", "roc", "--input", FIXTURES / "s1.csv", "--label-col", "label",
+          "--score-col", "score", "--positive", "pos"), 0, 1),
+        (("validate", "--check", "objective", "--train", FIXTURES / "model_a.csv",
+          "--validation", FIXTURES / "model_b.csv"), 0, 2),
+        # the loader raises while the file is open
+        (("regress", "--input", FIXTURES / "bad_cell.csv", "--actual-col", "a",
+          "--predicted-col", "p"), 2, 1),
+    ], ids=["regress", "classify", "curves", "validate", "bad-cell"])
+    def test_every_input_file_is_closed(self, capsys, monkeypatch, argv, code, files):
+        from modeval import cli
+
+        opened = []
+
+        class RecordingInputFile(cli._InputFile):
+            def __init__(self, *args):
+                super().__init__(*args)
+                opened.append(self)
+
+        monkeypatch.setattr(cli, "_InputFile", RecordingInputFile)
+        assert main(list(map(str, argv))) == code
+        capsys.readouterr()
+        assert len(opened) == files
+        assert all(stream.closed for stream in opened)
 
 
 class TestScoredMemory:

@@ -30,26 +30,27 @@ def random_scored(rng, n=None, tie_grid=None):
 
 class TestRocCurve:
     def test_s1_point_list(self, s1):
-        curve = roc_curve(s1)
-        assert len(curve.points) == 7
+        points = list(zip(*roc_curve(s1)))
+        assert len(points) == 7
         expected = [(0.0, 0.0, math.inf),
                     (0.0, 1 / 3, 0.9), (0.0, 2 / 3, 0.8), (1 / 3, 2 / 3, 0.7),
                     (1 / 3, 1.0, 0.4), (2 / 3, 1.0, 0.3), (1.0, 1.0, 0.2)]
-        for point, (fpr, tpr, threshold) in zip(curve.points, expected):
-            assert point.fpr == pytest.approx(fpr, abs=1e-15)
-            assert point.tpr == pytest.approx(tpr, abs=1e-15)
-            assert point.threshold == threshold
+        for (fpr, tpr, threshold), want in zip(points, expected):
+            want_fpr, want_tpr, want_threshold = want
+            assert fpr == pytest.approx(want_fpr, abs=1e-15)
+            assert tpr == pytest.approx(want_tpr, abs=1e-15)
+            assert threshold == want_threshold
 
     def test_perfect_separation_passes_through_corner(self):
         data = ScoredBinarySet([True, True, False, False], [0.9, 0.8, 0.2, 0.1])
         curve = roc_curve(data)
-        assert any(p.fpr == 0.0 and p.tpr == 1.0 for p in curve.points)
+        assert (0.0, 1.0) in zip(curve.fpr, curve.tpr)
         assert auc(curve).value == 1.0
 
     def test_all_scores_identical(self):
         data = ScoredBinarySet([True, False, True, False], [0.3] * 4)
         curve = roc_curve(data)
-        assert [(p.fpr, p.tpr) for p in curve.points] == [(0.0, 0.0), (1.0, 1.0)]
+        assert list(zip(curve.fpr, curve.tpr)) == [(0.0, 0.0), (1.0, 1.0)]
         assert auc(curve).value == 0.5
 
     def test_single_class_rejected(self):
@@ -60,12 +61,12 @@ class TestRocCurve:
         rng = random.Random(61)
         for _ in range(100):
             curve = roc_curve(random_scored(rng, tie_grid=rng.choice([None, 4, 10])))
-            points = curve.points
+            points = list(zip(*curve))
             assert points[0] == (0.0, 0.0, math.inf)
-            assert points[-1].fpr == 1.0 and points[-1].tpr == 1.0
-            for a, b in zip(points, points[1:]):
-                assert b.fpr >= a.fpr and b.tpr >= a.tpr
-                assert 0.0 <= b.fpr <= 1.0 and 0.0 <= b.tpr <= 1.0
+            assert points[-1][:2] == (1.0, 1.0)
+            for (fpr_a, tpr_a, _), (fpr_b, tpr_b, _) in zip(points, points[1:]):
+                assert fpr_b >= fpr_a and tpr_b >= tpr_a
+                assert 0.0 <= fpr_b <= 1.0 and 0.0 <= tpr_b <= 1.0
 
 
 class TestAuc:
@@ -106,23 +107,24 @@ class TestAuc:
 
 class TestPrCurve:
     def test_s1_points(self, s1):
-        points = pr_curve(s1).points
+        points = list(zip(*pr_curve(s1)))
         expected = [(1 / 3, 1.0, 0.9), (2 / 3, 1.0, 0.8), (2 / 3, 2 / 3, 0.7),
                     (1.0, 3 / 4, 0.4), (1.0, 3 / 5, 0.3), (1.0, 1 / 2, 0.2)]
         assert len(points) == len(expected)
-        for point, (recall, precision, threshold) in zip(points, expected):
-            assert point.recall == pytest.approx(recall, abs=1e-15)
-            assert point.precision == pytest.approx(precision, abs=1e-15)
-            assert point.threshold == threshold
+        for (recall, precision, threshold), want in zip(points, expected):
+            want_recall, want_precision, want_threshold = want
+            assert recall == pytest.approx(want_recall, abs=1e-15)
+            assert precision == pytest.approx(want_precision, abs=1e-15)
+            assert threshold == want_threshold
 
     def test_recall_reaches_one(self):
         rng = random.Random(79)
         for _ in range(100):
             data = random_scored(rng, tie_grid=rng.choice([None, 4]))
-            points = pr_curve(data).points
-            assert points[-1].recall == 1.0
-            for a, b in zip(points, points[1:]):
-                assert b.recall >= a.recall
+            recall = pr_curve(data).recall
+            assert recall[-1] == 1.0
+            for a, b in zip(recall, recall[1:]):
+                assert b >= a
 
     def test_no_positives_rejected(self):
         with pytest.raises(DefinednessError):
@@ -184,22 +186,22 @@ class TestBreakEven:
     def test_interpolated_crossing(self):
         # ranked [+, -, -, +]: gaps swing from +2/3 at recall 1/2 to -1/4 at 1
         data = ScoredBinarySet([True, False, False, True], [4.0, 3.0, 2.0, 1.0])
-        points = pr_curve(data).points
-        gaps = [p.precision - p.recall for p in points]
+        curve = pr_curve(data)
+        recall = curve.recall
+        gaps = [precision - r for r, precision in zip(recall, curve.precision)]
         assert gaps[0] > 0 > gaps[-1]
         value = break_even_point(pr_curve(data)).value
         # hand interpolation between (1/2, 2/3) and (1/2, 1/2): gap hits zero at
         # the second segment; recompute the same walk the long way
         expected = None
-        for i in range(len(points) - 1):
+        for i in range(len(recall) - 1):
             g0, g1 = gaps[i], gaps[i + 1]
             if g0 == 0:
-                expected = points[i].recall
+                expected = recall[i]
                 break
             if (g0 > 0) != (g1 > 0):
                 s = g0 / (g0 - g1)
-                expected = points[i].recall + s * (points[i + 1].recall -
-                                                   points[i].recall)
+                expected = recall[i] + s * (recall[i + 1] - recall[i])
                 break
         assert value == pytest.approx(expected, rel=1e-12)
         assert 0.0 <= value <= 1.0
@@ -350,7 +352,7 @@ class TestRankingOracle:
         if any(flags) and not all(flags):
             curve = roc_curve(data)
             reference = reference_roc_points(flags, scores)
-            assert _columns(curve.points) == _columns(reference)
+            assert _columns(zip(*curve)) == _columns(reference)
             assert auc(curve).value.hex() == reference_auc(reference).hex()
         else:
             with pytest.raises(DefinednessError):
@@ -362,7 +364,7 @@ class TestRankingOracle:
             return
         curve = pr_curve(data)
         reference = reference_pr_points(flags, scores)
-        assert _columns(curve.points) == _columns(reference)
+        assert _columns(zip(*curve)) == _columns(reference)
         assert average_precision(data).value.hex() == \
             reference_average_precision(reference).hex()
         assert _hex(break_even_point(curve).value) == \

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from modeval.dataset import MetricValue, PairedSeries
 from modeval.errors import DataError, UsageError
 from modeval.regression import (METRIC_IDS, METRICS, SeriesContext,
-                                _term_mean, point_metric, regression_report, residuals)
+                                _term_mean, point_metric, regression_report)
 
 # Frozen expected values for the reference fixture A=[1,2,3,4], P=[2,2,4,5],
 # confirmed beforehand by Fraction arithmetic (see the exact forms below).
@@ -58,14 +58,14 @@ def random_series(rng, n=None, ordered=True):
 
 class TestResiduals:
     def test_elementwise(self, f1):
-        assert residuals(f1) == (-1.0, 0.0, -1.0, -1.0)
+        assert tuple(SeriesContext(f1).e) == (-1.0, 0.0, -1.0, -1.0)
 
     def test_identity(self):
         s = PairedSeries([1, 2, 3], [1, 2, 3])
-        assert residuals(s) == (0.0, 0.0, 0.0)
+        assert tuple(SeriesContext(s).e) == (0.0, 0.0, 0.0)
 
     def test_single_pair(self):
-        assert residuals(PairedSeries([5], [2])) == (3.0,)
+        assert tuple(SeriesContext(PairedSeries([5], [2])).e) == (3.0,)
 
 
 class TestFixtureValues:
@@ -161,15 +161,15 @@ class TestSkipUndefinedTerms:
 class TestReport:
     def test_requested_subset(self, f1):
         report = regression_report(f1, {"MAE", "MSE", "SSE"})
-        assert set(report.metrics) == {"MAE", "MSE", "SSE"}
-        assert report.metrics["MAE"].value == 0.75
-        assert report.metrics["MSE"].value == 0.75
-        assert report.metrics["SSE"].value == 3.0
+        assert set(report) == {"MAE", "MSE", "SSE"}
+        assert report["MAE"].value == 0.75
+        assert report["MSE"].value == 0.75
+        assert report["SSE"].value == 3.0
 
     def test_all_ids_mase_needs_order(self):
         series = PairedSeries([1, 2, 3, 4], [2, 2, 4, 5], ordered=False)
         report = regression_report(series, METRIC_IDS)
-        assert report.metrics["MASE"].reason == "unordered_series"
+        assert report["MASE"].reason == "unordered_series"
 
     def test_empty_ids(self, f1):
         with pytest.raises(UsageError):
@@ -302,7 +302,7 @@ class TestSharedStatistics:
     def test_unused_statistic_cannot_overflow(self):
         # s_aa overflows on these actuals, but MAE never needs it
         series = PairedSeries([1e200, -1e200, 3e200], [0, 0, 0])
-        mae = regression_report(series, {"MAE"}).metrics["MAE"]
+        mae = regression_report(series, {"MAE"})["MAE"]
         assert mae.is_defined and mae.value == pytest.approx(5e200 / 3, rel=1e-12)
 
     def test_centred_sums_computed_only_when_needed(self, monkeypatch):
@@ -324,8 +324,8 @@ class TestSharedStatistics:
 
     def test_registry_ids_match_values(self, f1):
         report = regression_report(f1, METRIC_IDS)
-        assert list(report.metrics) == list(METRIC_IDS)
-        assert all(mv.id == metric_id for metric_id, mv in report.metrics.items())
+        assert list(report) == list(METRIC_IDS)
+        assert all(mv.id == metric_id for metric_id, mv in report.items())
 
 
 class GeneratorContext(SeriesContext):

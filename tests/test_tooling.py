@@ -27,6 +27,18 @@ def test_every_trace_target_resolves():
     assert all(callable(original) for _, _, original in found)
 
 
+def test_readme_library_example_runs(capsys):
+    # the README's "Library use" block runs against the current API
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    fence = "```python\n"
+    start = readme.index(fence, readme.index("\n## Library use\n")) + len(fence)
+    block = readme[start:readme.index("```", start)]
+    # leading newlines keep a traceback's line numbers those of README.md
+    code = "\n" * readme.count("\n", 0, start) + block
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == code.count("print(")
+
+
 def test_traced_loaders_count_rows():
     # the trace counts a loader's rows from the input the CLI hands it
     from modeval.cli import main

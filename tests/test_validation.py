@@ -1,12 +1,13 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from modeval.dataset import PairedSeries
 from modeval.errors import DataError, DefinednessError, UsageError
-from modeval.validation import (AdequacyReport, data_adequacy_ratio,
+from modeval.validation import (adequacy_verdict, data_adequacy_ratio,
                                 gandomi_objective, reference_index,
                                 reference_index_from_metrics, roy_rm,
                                 tropsha_criteria)
@@ -89,7 +90,7 @@ class TestRoyRm:
     def test_perfect_model(self):
         rep = roy_rm(PairedSeries([1, 2, 3, 5], [1, 2, 3, 5]))
         assert rep.rm == pytest.approx(1.0, rel=1e-12)
-        assert rep.passed
+        assert rep.pass_rm
 
     def test_f1_fixture_frozen_value(self, f1):
         # Fraction oracle: R2 = 121/135, Ro2 = 839/1323,
@@ -100,7 +101,7 @@ class TestRoyRm:
         expected = float(r2) * (1 - math.sqrt(float(r2 - ro2)))
         assert expected == pytest.approx(0.43740351696886376, rel=1e-12)
         assert rep.rm == pytest.approx(expected, rel=1e-12)
-        assert not rep.passed
+        assert not rep.pass_rm
 
     def test_constant_actual_rejected(self):
         with pytest.raises(DefinednessError):
@@ -115,8 +116,9 @@ class TestAdequacy:
         (50, 10, 5.0, "within", True),
     ])
     def test_verdicts(self, obs, params, ratio, verdict, adequate):
-        rep = data_adequacy_ratio(obs, params)
-        assert rep == AdequacyReport(ratio=ratio, verdict=verdict, adequate=adequate)
+        assert data_adequacy_ratio(obs, params) == ratio
+        assert adequacy_verdict(ratio) == verdict
+        assert (adequacy_verdict(ratio) != "below") == adequate
 
     def test_zero_parameters(self):
         with pytest.raises(UsageError):
@@ -125,6 +127,18 @@ class TestAdequacy:
     def test_negative_observations(self):
         with pytest.raises(UsageError):
             data_adequacy_ratio(-1, 2)
+
+    @pytest.mark.parametrize("obs,params,named", [
+        (10.9, 3, "observation count must be an integer, got 10.9"),
+        ("7", 2.9, "observation count must be an integer, got '7'"),
+        (7, 2.9, "parameter count must be an integer, got 2.9"),
+        (True, 1, "observation count must be an integer, got True"),
+        (10, False, "parameter count must be an integer, got False"),
+        (10.0, 2, "observation count must be an integer, got 10.0"),
+    ])
+    def test_count_must_be_an_integer(self, obs, params, named):
+        with pytest.raises(UsageError, match=f"^{re.escape(named)}$"):
+            data_adequacy_ratio(obs, params)
 
 
 class TestGandomiObjective:

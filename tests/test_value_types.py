@@ -12,8 +12,7 @@ from modeval.curves import CalibrationReport, PrCurve, RocCurve
 from modeval.dataset import (ConfusionMatrix2, ConfusionMatrixK, Metric, MetricValue,
                              PairedSeries, ScoredBinarySet)
 from modeval.gp_fitness import ClassOutputs
-from modeval.regression import RegressionReport
-from modeval.validation import AdequacyReport, RiRanking, RmReport, TropshaReport
+from modeval.validation import RiRanking, TropshaReport
 
 MAE = MetricValue("MAE", 0.5, "defined")
 UNDEFINED = MetricValue("MAPE", None, "undefined", "zero_actual")
@@ -34,12 +33,9 @@ CASES = [
                    for_rate=UNDEFINED), dict(tpr=UNDEFINED)),
     (ProbabilityMatrix, dict(rows=((0.25, 0.75), (1.0, 0.0)), true_class=(1, 0)),
      dict(true_class=(1, 1))),
-    (RegressionReport, dict(metrics={"MAE": MAE}), dict(metrics={"MAPE": UNDEFINED})),
     (TropshaReport, dict(r2=0.9, k=1.0, k_prime=0.98, ro2=0.89, ro2_prime=0.88,
                          m_index=0.01, n_index=None, pass_k=True, pass_m=True, pass_n=False,
-                         overall_pass=False), dict(n_index=0.02)),
-    (RmReport, dict(rm=0.6, r2=0.9, ro2=0.89, passed=True), dict(passed=False)),
-    (AdequacyReport, dict(ratio=4.0, verdict="within", adequate=True), dict(ratio=4.5)),
+                         overall_pass=False, rm=0.6, pass_rm=True), dict(n_index=0.02)),
     (RiRanking, dict(model_ids=("a", "b"), normalized={"RMSE": (0.0, 1.0)}, ri=(0.0, 1.0),
                      ranking=(0, 1), tied_columns=()), dict(tied_columns=("MAE",))),
     (RocCurve, dict(fpr=array("d", [0.0, 1.0]), tpr=array("d", [0.0, 1.0]),
