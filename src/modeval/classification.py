@@ -242,24 +242,24 @@ def mean_cross_entropy(data: ScoredBinarySet) -> MetricValue:
     Coincides with log_loss on the equivalent two-column probability matrix.
     """
     _check_probabilities(data.scores)
-    terms = [-_clamped_log(s) if is_pos else -_clamped_log(1.0 - s)
-             for is_pos, s in zip(data.flags, data.scores)]
-    return MetricValue.defined("MXE", fsum(terms) / len(terms))
+    terms = (-_clamped_log(s) if is_pos else -_clamped_log(1.0 - s)
+             for is_pos, s in zip(data.flags, data.scores))
+    return MetricValue.defined("MXE", fsum(terms) / len(data))
 
 
 def brier_score(data: ScoredBinarySet) -> MetricValue:
     """Mean squared gap between forecast probability and the 0/1 outcome."""
     _check_probabilities(data.scores)
-    terms = [(s - (1.0 if is_pos else 0.0)) ** 2
-             for is_pos, s in zip(data.flags, data.scores)]
-    return MetricValue.defined("BRIER", fsum(terms) / len(terms))
+    terms = ((s - (1.0 if is_pos else 0.0)) ** 2
+             for is_pos, s in zip(data.flags, data.scores))
+    return MetricValue.defined("BRIER", fsum(terms) / len(data))
 
 
 def hinge_loss(data: ScoredBinarySet) -> MetricValue:
     """Mean hinge penalty max(0, 1 - q*y) with q = +1/-1 and y the raw score."""
-    terms = [max(0.0, 1.0 - (1.0 if is_pos else -1.0) * s)
-             for is_pos, s in zip(data.flags, data.scores)]
-    return MetricValue.defined("HINGE", fsum(terms) / len(terms))
+    terms = (max(0.0, 1.0 - (1.0 if is_pos else -1.0) * s)
+             for is_pos, s in zip(data.flags, data.scores))
+    return MetricValue.defined("HINGE", fsum(terms) / len(data))
 
 
 def _distance(metric_id: str, data: PairedSeries, denominators) -> MetricValue:

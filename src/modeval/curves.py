@@ -33,25 +33,25 @@ CAL_WINDOW_SIZE = 100
 class RocCurve(NamedTuple):
     """Threshold sweep from (0,0) to (1,1); one vertex per distinct score.
 
-    Held as three float columns: the rates are ``array("d")``, the thresholds
-    a tuple of the scored set's own floats after a leading ``inf``.
+    Held as three ``array("d")`` columns: the rates, and the thresholds, which
+    are the ranking's thresholds after a leading ``inf``.
     """
 
     fpr: array
     tpr: array
-    thresholds: tuple[float, ...]
+    thresholds: array
 
 
 class PrCurve(NamedTuple):
     """Threshold sweep over distinct scores; recall reaches 1 at the last point.
 
-    Held as three float columns: the rates are ``array("d")``, the thresholds
-    a tuple of the scored set's own floats.
+    Held as three ``array("d")`` columns: the rates, and the ranking's own
+    thresholds column.
     """
 
     recall: array
     precision: array
-    thresholds: tuple[float, ...]
+    thresholds: array
 
 
 class CalibrationReport(NamedTuple):
@@ -75,7 +75,7 @@ def roc_curve(data: ScoredBinarySet) -> RocCurve:
     tp = array("Q", map(ranking.cum_positives.__getitem__, ranks))
     return RocCurve(array("d", map(truediv, map(sub, ranks, tp), repeat(negatives))),
                     array("d", map(truediv, tp, repeat(positives))),
-                    (math.inf, *ranking.thresholds))
+                    array("d", (math.inf,)) + ranking.thresholds)
 
 
 def auc(curve: RocCurve) -> MetricValue:

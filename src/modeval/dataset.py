@@ -5,6 +5,13 @@ threads; all operations are pure functions of their inputs. Non-finite values
 (NaN, +/-inf) are rejected at ingestion so that downstream definedness
 contracts stay testable instead of silently propagating NaN.
 
+The float columns (``PairedSeries.actual`` and ``.predicted``,
+``ScoredBinarySet.scores``, ``Ranking.scores`` and ``.thresholds``) are
+``array("d")``: 8 bytes per value where a boxed float in a tuple takes 32. An
+array is unhashable, so the types that hold one are too; it compares equal
+only to another array; and it must be treated as read-only, since nothing
+stops a write to it. The attributes themselves still cannot be rebound.
+
 CSV dialect: UTF-8 text, comma separator, first row is a header, ``.``
 decimal point, optional UTF-8 byte order mark. The csv module splits the
 records: only LF, CRLF and CR end one, and a quoted field may hold a line
@@ -13,10 +20,12 @@ quote, is an error. Row N in a message is the Nth non-blank record after the
 header.
 
 Both loaders read through one private reader, ``_load``. It streams the
-records and hands each row's cells to the loader's ``keep`` function, which
-stores the row's values or rejects the row. It alone names a rejected row's
-first bad cell, drops the row under ``drop_bad_rows`` and counts it, and turns
-a csv or UTF-8 error into a DataError.
+records and hands the loader's ``keep`` function a block of rows at a time, as
+columns of cells; ``keep`` converts a whole block with C-level builtins and
+stores its values, or rejects the block. Only a rejected block is split, in
+halves, down to its bad rows. ``_load`` alone names a rejected row's first bad
+cell, drops the row under ``drop_bad_rows`` and counts it, and turns a csv or
+UTF-8 error into a DataError.
 """
 
 from __future__ import annotations
@@ -172,6 +181,14 @@ def _check_finite(values, name):
             raise DataError(f"{name}[{i}] is not finite: {v!r}")
 
 
+def _float_column(values) -> array:
+    """An ``array("d")`` of ``values``: an array of doubles is copied whole,
+    and anything else is converted value by value with ``float()``."""
+    if isinstance(values, array) and values.typecode == "d":
+        return array("d", values)
+    return array("d", map(float, values))
+
+
 def _check_probabilities(scores):
     # a ScoredBinarySet's scores: non-empty and finite, so min and max see every value
     if 0.0 <= min(scores) and max(scores) <= 1.0:
@@ -184,17 +201,19 @@ def _check_probabilities(scores):
 class PairedSeries(_Frozen):
     """Aligned actual/predicted observations in the units of the modeled quantity.
 
-    ``ordered`` declares whether index order is a meaningful time/sequence
-    order; metrics that difference consecutive actuals (MASE) require it.
+    ``actual`` and ``predicted`` are read-only ``array("d")`` columns of their
+    own, copied or converted from the arguments. ``ordered`` declares whether
+    index order is a meaningful time/sequence order; metrics that difference
+    consecutive actuals (MASE) require it.
     """
 
-    actual: tuple[float, ...]
-    predicted: tuple[float, ...]
+    actual: array
+    predicted: array
     ordered: bool
 
     def __init__(self, actual, predicted, ordered: bool = False):
-        actual = tuple(map(float, actual))
-        predicted = tuple(map(float, predicted))
+        actual = _float_column(actual)
+        predicted = _float_column(predicted)
         if len(actual) != len(predicted):
             raise DataError(
                 f"actual has {len(actual)} values but predicted has {len(predicted)}")
@@ -225,34 +244,36 @@ class Ranking(NamedTuple):
     starts at 0 and has one more entry than ``scores``), and ``ends`` holds,
     for each distinct score in descending order, the rank just past its last
     member: how many scores rank at or above it. Both are ``array("Q")``
-    columns of new counts. ``scores`` and ``thresholds`` stay tuples of the
-    set's own floats; ``thresholds`` holds each distinct score as the first
-    member of its group holds it (-0.0 or 0.0).
+    columns of counts. ``scores`` and ``thresholds`` are ``array("d")``
+    columns; ``thresholds`` holds each distinct score as the first member of
+    its group holds it, so a zero group keeps that member's sign (-0.0 or
+    0.0).
     """
 
-    scores: tuple[float, ...]
+    scores: array
     cum_positives: array
     ends: array
-    thresholds: tuple[float, ...]
+    thresholds: array
 
 
 class ScoredBinarySet(_Frozen):
     """Binary ground-truth labels with real-valued classifier scores.
 
     Scores are probabilities in [0, 1] when the consuming metric demands one,
-    otherwise any real margin. Labels accept booleans (True = positive) or the
-    ``POSITIVE``/``NEGATIVE`` constants.
+    otherwise any real margin; they are held as a read-only ``array("d")``,
+    copied or converted from the argument. Labels accept booleans (True =
+    positive) or the ``POSITIVE``/``NEGATIVE`` constants.
     """
 
     labels: tuple[str, ...]
-    scores: tuple[float, ...]
+    scores: array
 
     def __init__(self, labels, scores):
         labels = tuple(labels)
         # count compares by ==, as _coerce_label does, and needs no hashable labels
         if labels.count(POSITIVE) + labels.count(NEGATIVE) != len(labels):
             labels = tuple(map(_coerce_label, labels))
-        scores = tuple(map(float, scores))
+        scores = _float_column(scores)
         if len(labels) != len(scores):
             raise DataError(f"{len(labels)} labels but {len(scores)} scores")
         if not labels:
@@ -280,14 +301,14 @@ class ScoredBinarySet(_Frozen):
     def ranking(self) -> Ranking:
         """The one sort that every ranking metric (ROC, PR, lift, CAL) reads."""
         order = sorted(range(len(self.scores)), key=self.scores.__getitem__, reverse=True)
-        scores = tuple(map(self.scores.__getitem__, order))
+        scores = array("d", map(self.scores.__getitem__, order))
         cum_positives = array("Q", accumulate(map(self.flags.__getitem__, order), initial=0))
         del order  # n boxed indices, freed before the group columns are built
         # starts[k]: a group starts at rank k, the first score or one unequal to the one above
         starts = [True, *map(ne, islice(scores, 1, None), scores)]
         ends = array("Q", compress(count(1), islice(starts, 1, None)))
         ends.append(len(scores))
-        return Ranking(scores, cum_positives, ends, tuple(compress(scores, starts)))
+        return Ranking(scores, cum_positives, ends, array("d", compress(scores, starts)))
 
 
 def _check_counts(named_counts) -> None:
@@ -362,6 +383,12 @@ class ConfusionMatrixK(_Frozen):
 # CSV ingestion
 
 
+# Rows per block that _load hands its ``keep`` function: enough to spread one
+# Python-level call and a few C-level passes over many rows, few enough that a
+# block with a bad row is cheap to split down to it.
+_BLOCK_ROWS = 64
+
+
 def _column_index(header, name):
     try:
         return header.index(name)
@@ -387,15 +414,36 @@ def _check_cell(row, row_number, index, column, numeric) -> None:
         raise DataError(f"row {row_number}, column {column!r}: non-finite value {cell!r}")
 
 
+def _rejected_rows(keep, getters, block, first):
+    """Hand ``block``'s rows, record ``first`` on, to ``keep`` as columns of
+    cells: whole, or, if ``keep`` rejects them, in halves, down to single
+    rows. Yields the record number and cells of each row rejected on its own,
+    in order; a half is handed over only after the rows before it."""
+    try:
+        keep(*(map(getter, block) for getter in getters))
+        return
+    except (IndexError, ValueError):
+        pass
+    if len(block) == 1:
+        yield first, block[0]
+        return
+    half = len(block) // 2
+    yield from _rejected_rows(keep, getters, block[:half], first)
+    yield from _rejected_rows(keep, getters, block[half:], first + half)
+
+
 def _load(source, columns, keep, drop_bad_rows: bool, warnings: list | None) -> None:
-    """Read the records of a header-bearing CSV and hand each one's cells to ``keep``.
+    """Read the records of a header-bearing CSV and hand them to ``keep`` in blocks.
 
     ``columns`` names the cells to read as ``(name, numeric)`` pairs, in the
-    order ``keep`` takes them. ``keep`` stores a row's values, or raises
-    ValueError and stores nothing. Such a row is bad: the per-cell checks
-    raise the DataError for its first bad cell, or, with ``drop_bad_rows``,
-    the row is counted and dropped. A row with too few cells never reaches
-    ``keep``.
+    order ``keep`` takes them. ``keep`` takes one iterable of cells per
+    column, over a block of up to ``_BLOCK_ROWS`` rows, and stores the
+    block's values, or raises ValueError (or the IndexError of a row with too
+    few cells) and stores nothing. A rejected block is split in halves, and
+    each half is handed over again in turn, down to single rows, so a block
+    with one bad row costs about a dozen calls. A row that ``keep`` rejects
+    on its own is bad: the per-cell checks raise the DataError for its first
+    bad cell, or, with ``drop_bad_rows``, the row is counted and dropped.
 
     The csv module splits records straight from a binary stream, so no
     decoded copy of the whole text and no list of lines is ever held. A
@@ -424,17 +472,25 @@ def _load(source, columns, keep, drop_bad_rows: bool, warnings: list | None) -> 
         if header is None:
             raise EmptyInputError("CSV has no header row")
         indices = [_column_index(header, name) for name, _ in columns]
-        cells = itemgetter(*indices)
-        for number, row in enumerate(rows, start=1):
+        getters = [itemgetter(i) for i in indices]
+        while True:
+            block, failure = [], None
             try:
-                keep(*cells(row))
-                continue
-            except (IndexError, ValueError):
-                pass
-            if not drop_bad_rows:
-                for index, (name, numeric) in zip(indices, columns):
-                    _check_cell(row, number, index, name, numeric)
-            dropped += 1
+                block.extend(islice(rows, _BLOCK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # extend keeps the rows read before the bad record, and those
+                # are checked first, as if they had been read one at a time
+                failure = exc
+            for row_number, row in _rejected_rows(keep, getters, block, number + 1):
+                if not drop_bad_rows:
+                    for index, (name, numeric) in zip(indices, columns):
+                        _check_cell(row, row_number, index, name, numeric)
+                dropped += 1
+            number += len(block)
+            if failure is not None:
+                raise failure
+            if len(block) < _BLOCK_ROWS:
+                break
     except csv.Error as exc:
         where = "header row" if header is None else f"row {number + 1}"
         raise DataError(f"{where}: {exc}") from None
@@ -456,22 +512,22 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
     """Parse a header-bearing CSV into a PairedSeries, keeping file order.
 
     ``source`` is bytes, str, or a binary file object, which is read from
-    where it stands and left open. Rows are read one at a time and only the
-    two named cells are kept. With ``drop_bad_rows`` an unparseable or
-    non-finite cell discards the offending row instead of raising; the count
-    of dropped rows is appended to ``warnings`` when a list is supplied. A
-    row the csv module cannot read (a field over its size limit, a quote
-    left open at the end of the input, text after a closing quote) is a
-    DataError either way.
+    where it stands and left open. Rows are read a block at a time and only
+    the two named cells are kept, as ``array("d")`` columns. With
+    ``drop_bad_rows`` an unparseable or non-finite cell discards the
+    offending row instead of raising; the count of dropped rows is appended
+    to ``warnings`` when a list is supplied. A row the csv module cannot read
+    (a field over its size limit, a quote left open at the end of the input,
+    text after a closing quote) is a DataError either way.
     """
-    actual, predicted = [], []
+    actual, predicted = array("d"), array("d")
 
-    def keep(a_cell, p_cell):
-        a, p = float(a_cell), float(p_cell)
-        if not (math.isfinite(a) and math.isfinite(p)):
+    def keep(a_cells, p_cells):
+        a, p = list(map(float, a_cells)), list(map(float, p_cells))
+        if not (all(map(math.isfinite, a)) and all(map(math.isfinite, p))):
             raise ValueError
-        actual.append(a)
-        predicted.append(p)
+        actual.fromlist(a)
+        predicted.fromlist(p)
 
     _load(source, ((actual_column, True), (predicted_column, True)), keep,
           drop_bad_rows, warnings)
@@ -490,15 +546,16 @@ def load_scored_csv(source, label_column: str, score_column: str,
     single-class data can still be scored.
     """
     # one of two shared strings per row; the raw labels are kept once each
-    labels, scores, distinct = [], [], set()
+    labels, scores, distinct = [], array("d"), set()
+    shared = {positive_label: POSITIVE}.get
 
-    def keep(label, cell):
-        score = float(cell)
-        if not math.isfinite(score):
+    def keep(label_cells, score_cells):
+        raw, block = list(label_cells), list(map(float, score_cells))
+        if not all(map(math.isfinite, block)):
             raise ValueError
-        distinct.add(label)
-        labels.append(POSITIVE if label == positive_label else NEGATIVE)
-        scores.append(score)
+        distinct.update(raw)
+        labels.extend(map(shared, raw, repeat(NEGATIVE)))
+        scores.fromlist(block)
 
     _load(source, ((label_column, False), (score_column, True)), keep,
           drop_bad_rows, warnings)

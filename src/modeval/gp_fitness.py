@@ -21,7 +21,13 @@ from .errors import DataError
 
 
 class ClassOutputs(_Frozen):
-    """Raw classifier outputs split by true class; both sides nonempty."""
+    """Raw classifier outputs split by true class; both sides nonempty.
+
+    The sides stay tuples of boxed floats, unlike the ``array("d")`` columns
+    of the dataset types: ``wmw`` compares every minority output with every
+    majority output, and an array would box each majority output again for
+    every minority output it meets.
+    """
 
     minority: tuple[float, ...]
     majority: tuple[float, ...]
