@@ -213,7 +213,7 @@ class ProbabilityMatrix(_Frozen):
             if abs(fsum(row) - 1.0) > 1e-9:
                 raise DataError(f"row {i} does not sum to 1 within 1e-9")
         for i, c in enumerate(true_class):
-            # a scored set's bool flags are int classes (False is 0, True is 1); 0.9 is none
+            # a scored set's bool labels are int classes (False is 0, True is 1); 0.9 is none
             if not isinstance(c, int) or not 0 <= c < width:
                 raise DataError(f"true_class[{i}] = {c!r} is not an integer in 0..{width - 1}")
         self._set(rows, tuple(map(int, true_class)))
@@ -243,7 +243,7 @@ def mean_cross_entropy(data: ScoredBinarySet) -> MetricValue:
     """
     _check_probabilities(data.scores)
     terms = (-_clamped_log(s) if is_pos else -_clamped_log(1.0 - s)
-             for is_pos, s in zip(data.flags, data.scores))
+             for is_pos, s in zip(data.labels, data.scores))
     return MetricValue.defined("MXE", fsum(terms) / len(data))
 
 
@@ -251,14 +251,14 @@ def brier_score(data: ScoredBinarySet) -> MetricValue:
     """Mean squared gap between forecast probability and the 0/1 outcome."""
     _check_probabilities(data.scores)
     terms = ((s - (1.0 if is_pos else 0.0)) ** 2
-             for is_pos, s in zip(data.flags, data.scores))
+             for is_pos, s in zip(data.labels, data.scores))
     return MetricValue.defined("BRIER", fsum(terms) / len(data))
 
 
 def hinge_loss(data: ScoredBinarySet) -> MetricValue:
     """Mean hinge penalty max(0, 1 - q*y) with q = +1/-1 and y the raw score."""
     terms = (max(0.0, 1.0 - (1.0 if is_pos else -1.0) * s)
-             for is_pos, s in zip(data.flags, data.scores))
+             for is_pos, s in zip(data.labels, data.scores))
     return MetricValue.defined("HINGE", fsum(terms) / len(data))
 
 
@@ -297,7 +297,7 @@ def probability_matrix_from_scores(data: ScoredBinarySet) -> ProbabilityMatrix:
     """Two-column probability matrix [1-s, s] with the positive class as column 1."""
     _check_probabilities(data.scores)
     rows = tuple((1.0 - s, s) for s in data.scores)
-    return ProbabilityMatrix(rows, data.flags)
+    return ProbabilityMatrix(rows, data.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +339,8 @@ class ThresholdContext:
 
     @cached_property
     def indicator_series(self) -> PairedSeries:
-        """(1/0 label indicator, score) pairs for the vector distances."""
-        return PairedSeries([1.0 if f else 0.0 for f in self.data.flags],
-                            self.data.scores)
+        """(label, score) pairs for the vector distances; a bool label is 1.0 or 0.0."""
+        return PairedSeries(self.data.labels, self.data.scores)
 
 
 # The tally itself, reported ahead of the requested metrics.

@@ -10,7 +10,8 @@ The float columns (``PairedSeries.actual`` and ``.predicted``,
 ``array("d")``: 8 bytes per value where a boxed float in a tuple takes 32. An
 array is unhashable, so the types that hold one are too; it compares equal
 only to another array; and it must be treated as read-only, since nothing
-stops a write to it. The attributes themselves still cannot be rebound.
+stops a write to it. The attributes themselves still cannot be rebound. The
+one label column, ``ScoredBinarySet.labels``, is a tuple of bools.
 
 CSV dialect: UTF-8 text, comma separator, first row is a header, ``.``
 decimal point, optional UTF-8 byte order mark. The csv module splits the
@@ -37,7 +38,7 @@ from array import array
 from collections.abc import Callable
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
-from operator import eq, itemgetter, ne
+from operator import itemgetter, ne
 from typing import NamedTuple
 
 from .errors import DataError, EmptyInputError, SchemaError, UsageError
@@ -228,12 +229,10 @@ class PairedSeries(_Frozen):
 
 
 def _coerce_label(label):
-    if label is True:
-        return POSITIVE
-    if label is False:
-        return NEGATIVE
-    if label in (POSITIVE, NEGATIVE):
+    if label is True or label is False:
         return label
+    if label in (POSITIVE, NEGATIVE):
+        return label == POSITIVE
     raise DataError(f"label must be {POSITIVE!r}/{NEGATIVE!r} or a bool, got {label!r}")
 
 
@@ -261,17 +260,18 @@ class ScoredBinarySet(_Frozen):
 
     Scores are probabilities in [0, 1] when the consuming metric demands one,
     otherwise any real margin; they are held as a read-only ``array("d")``,
-    copied or converted from the argument. Labels accept booleans (True =
-    positive) or the ``POSITIVE``/``NEGATIVE`` constants.
+    copied or converted from the argument. ``labels`` is a tuple of bools,
+    True for the positive class; the argument may hold bools or the
+    ``POSITIVE``/``NEGATIVE`` constants, and nothing else.
     """
 
-    labels: tuple[str, ...]
+    labels: tuple[bool, ...]
     scores: array
 
     def __init__(self, labels, scores):
         labels = tuple(labels)
-        # count compares by ==, as _coerce_label does, and needs no hashable labels
-        if labels.count(POSITIVE) + labels.count(NEGATIVE) != len(labels):
+        # isinstance, not ==: 1 == True, and 1 is no label
+        if not all(map(isinstance, labels, repeat(bool))):
             labels = tuple(map(_coerce_label, labels))
         scores = _float_column(scores)
         if len(labels) != len(scores):
@@ -285,13 +285,8 @@ class ScoredBinarySet(_Frozen):
         return len(self.labels)
 
     @cached_property
-    def flags(self) -> tuple[bool, ...]:
-        """Labels as booleans, True for the positive class."""
-        return tuple(map(eq, self.labels, repeat(POSITIVE)))
-
-    @cached_property
     def positive_count(self) -> int:
-        return sum(self.flags)
+        return self.labels.count(True)
 
     @property
     def negative_count(self) -> int:
@@ -302,7 +297,7 @@ class ScoredBinarySet(_Frozen):
         """The one sort that every ranking metric (ROC, PR, lift, CAL) reads."""
         order = sorted(range(len(self.scores)), key=self.scores.__getitem__, reverse=True)
         scores = array("d", map(self.scores.__getitem__, order))
-        cum_positives = array("Q", accumulate(map(self.flags.__getitem__, order), initial=0))
+        cum_positives = array("Q", accumulate(map(self.labels.__getitem__, order), initial=0))
         del order  # n boxed indices, freed before the group columns are built
         # starts[k]: a group starts at rank k, the first score or one unequal to the one above
         starts = [True, *map(ne, islice(scores, 1, None), scores)]
@@ -541,20 +536,21 @@ def load_scored_csv(source, label_column: str, score_column: str,
 
     Sources and rows are read as in ``load_paired_csv``. The label column
     must hold at most two distinct strings; with two, one of them must equal
+    ``positive_label``. Each label is kept as a bool, True where it equals
     ``positive_label``. A file whose only label differs from
     ``positive_label`` loads as all-negative with a warning, so degenerate
     single-class data can still be scored.
     """
-    # one of two shared strings per row; the raw labels are kept once each
+    # one bool per row; the raw labels are kept once each
     labels, scores, distinct = [], array("d"), set()
-    shared = {positive_label: POSITIVE}.get
+    is_positive = {positive_label: True}.get
 
     def keep(label_cells, score_cells):
         raw, block = list(label_cells), list(map(float, score_cells))
         if not all(map(math.isfinite, block)):
             raise ValueError
         distinct.update(raw)
-        labels.extend(map(shared, raw, repeat(NEGATIVE)))
+        labels.extend(map(is_positive, raw, repeat(False)))
         scores.fromlist(block)
 
     _load(source, ((label_column, False), (score_column, True)), keep,
@@ -587,7 +583,7 @@ def confusion_from_scores(data: ScoredBinarySet, threshold: float) -> ConfusionM
     if not math.isfinite(threshold):
         raise UsageError(f"threshold must be finite, got {threshold!r}")
     tp = fp = fn = tn = 0
-    for is_positive, score in zip(data.flags, data.scores):
+    for is_positive, score in zip(data.labels, data.scores):
         predicted_positive = score >= threshold
         if is_positive and predicted_positive:
             tp += 1

@@ -144,7 +144,7 @@ def test_criterion_4_fixture_values(f1, c1, s1):
         # curve fixture against the brute-force oracle
         auc_value = auc(roc_curve(s1)).value
         assert auc_value == pytest.approx(float(Fraction(8, 9)), rel=1e-12)
-        assert auc_value == pytest.approx(pairwise_auc(s1.flags, s1.scores),
+        assert auc_value == pytest.approx(pairwise_auc(s1.labels, s1.scores),
                                           rel=1e-12)
         assert average_precision(s1).value == pytest.approx(float(Fraction(11, 12)),
                                                             rel=1e-12)

@@ -476,12 +476,12 @@ class TestThresholdReport:
            st.data())
     def test_hamming_is_the_off_diagonal_share_of_the_tally(self, rows, draw):
         from modeval.classification import METRICS, ThresholdContext
-        from modeval.dataset import NEGATIVE, POSITIVE, confusion_from_scores
+        from modeval.dataset import confusion_from_scores
 
         labels, scores = zip(*rows)
         data = ScoredBinarySet(labels, scores)
         # a threshold equal to one of the scores puts ties at the cut
         threshold = draw.draw(st.sampled_from(scores) | st.floats(-3, 3))
         ctx = ThresholdContext(data, confusion_from_scores(data, threshold))
-        predicted = [POSITIVE if s >= threshold else NEGATIVE for s in data.scores]
+        predicted = [s >= threshold for s in data.scores]
         assert METRICS["HAMMING"].fn(ctx) == hamming_loss(data.labels, predicted)

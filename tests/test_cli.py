@@ -810,10 +810,11 @@ class TestScoredMemory:
     """Peak traced allocation of one scored CLI call, per row of the input.
 
     On this seeded 2e4-row file (10% positives, 20% of scores rounded to two
-    places, so many ties) ``curves --kind pr`` peaks near 120 B/row and
-    ``classify --metrics all`` near 105 B/row (Python 3.11; up to 130 and 107
-    on 3.10-3.13). Boxed ranking counts and curve rates, and one label string
-    kept per row while loading, took them to about 220 and 128 B/row.
+    places, so many ties) ``curves --kind pr`` peaks at 97-101 B/row,
+    ``--kind roc`` at 95-99 and ``classify --metrics all`` at 35-81 (Python
+    3.10-3.13). A second n-item label tuple, such as bool flags cached next
+    to label strings, took the curves to 105-109 and 103-107 B/row; boxed
+    ranking counts and curve rates took ``pr`` to about 220.
     """
 
     ROWS = 20_000
@@ -840,7 +841,10 @@ class TestScoredMemory:
         return peak / cls.ROWS
 
     def test_pr_curve_peak(self, capsys, tmp_path):
-        assert self._peak(capsys, tmp_path, "curves", "--kind", "pr") < 150
+        assert self._peak(capsys, tmp_path, "curves", "--kind", "pr") < 104
+
+    def test_roc_curve_peak(self, capsys, tmp_path):
+        assert self._peak(capsys, tmp_path, "curves", "--kind", "roc") < 102
 
     def test_classify_peak(self, capsys, tmp_path):
         assert self._peak(capsys, tmp_path, "classify", "--metrics", "all") < 115

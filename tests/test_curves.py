@@ -75,14 +75,14 @@ class TestAuc:
 
     def test_matches_pairwise_oracle(self, s1):
         assert auc(roc_curve(s1)).value == pytest.approx(
-            pairwise_auc(s1.flags, s1.scores), rel=1e-12)
+            pairwise_auc(s1.labels, s1.scores), rel=1e-12)
 
     def test_oracle_with_ties(self):
         rng = random.Random(67)
         for _ in range(300):
             data = random_scored(rng, tie_grid=rng.choice([None, 3, 8]))
             value = auc(roc_curve(data)).value
-            assert value == pytest.approx(pairwise_auc(data.flags, data.scores),
+            assert value == pytest.approx(pairwise_auc(data.labels, data.scores),
                                           rel=1e-12, abs=1e-12)
 
     def test_monotone_transform_invariance(self):
@@ -155,8 +155,8 @@ class TestAveragePrecision:
             assert -1e-12 <= value <= 1.0 + 1e-12
             separable = all(
                 sp > sn
-                for sp, f1 in zip(data.scores, data.flags) if f1
-                for sn, f2 in zip(data.scores, data.flags) if not f2)
+                for sp, f1 in zip(data.scores, data.labels) if f1
+                for sn, f2 in zip(data.scores, data.labels) if not f2)
             if separable:
                 assert value == pytest.approx(1.0, rel=1e-12)
             else:

@@ -132,7 +132,7 @@ class TestRecordRules:
 
     def test_quoted_newline_stays_in_the_label(self):
         s = load_scored_csv(b'y,s\n"pos\nx",0.9\nneg,0.3\n', "y", "s", "pos\nx")
-        assert s.labels == (POSITIVE, NEGATIVE)
+        assert s.labels == (True, False)
 
     def test_row_numbers_count_records_not_lines(self):
         with pytest.raises(DataError, match=r"^row 3, column 's'"):
@@ -149,7 +149,7 @@ class TestRecordRules:
 
     def test_lone_surrogate_loads_from_text_only(self):
         s = load_scored_csv("y,s\npos\ud800,0.9\nneg,0.3\n", "y", "s", "pos\ud800")
-        assert s.labels == (POSITIVE, NEGATIVE)
+        assert s.labels == (True, False)
         with pytest.raises(DataError, match="not valid UTF-8"):
             load_scored_csv("y,s\npos\ud800,0.9\n".encode("utf-8", "surrogatepass"),
                             "y", "s", "pos")
@@ -200,7 +200,7 @@ class TestBinaryFileSource:
 class TestLoadScoredCsv:
     def test_direct_parse(self):
         s = load_scored_csv(b"y,s\npos,0.9\nneg,0.3", "y", "s", "pos")
-        assert s.labels == (POSITIVE, NEGATIVE)
+        assert s.labels == (True, False)
         assert s.scores == array("d", (0.9, 0.3)) and s.scores.typecode == "d"
 
     def test_three_labels(self):
@@ -215,12 +215,12 @@ class TestLoadScoredCsv:
         warnings = []
         s = load_scored_csv(b"y,s\nneg,0.9\nneg,0.3", "y", "s", "pos",
                             warnings=warnings)
-        assert s.labels == (NEGATIVE, NEGATIVE)
+        assert s.labels == (False, False)
         assert warnings
 
     def test_single_label_all_positive(self):
         s = load_scored_csv(b"y,s\npos,0.9", "y", "s", "pos")
-        assert s.labels == (POSITIVE,)
+        assert s.labels == (True,)
 
     def test_bad_score(self):
         with pytest.raises(DataError, match=r"row 1.*'s'"):
@@ -259,13 +259,19 @@ class TestContainerChecks:
 
     def test_bool_and_constant_labels_mix(self):
         data = ScoredBinarySet([True, NEGATIVE, False, POSITIVE], [0.1] * 4)
-        assert data.labels == (POSITIVE, NEGATIVE, NEGATIVE, POSITIVE)
-        assert data.flags == (True, False, False, True)
+        assert data.labels == (True, False, False, True)
+        assert set(map(type, data.labels)) == {bool}
 
     @pytest.mark.parametrize("bad", ["pos", 1, None, ["positive"]])
     def test_other_labels_rejected(self, bad):
         with pytest.raises(DataError, match="label must be"):
             ScoredBinarySet([POSITIVE, bad], [0.1, 0.2])
+
+    @pytest.mark.parametrize("bad", [[1, 0], [1.0, 0.0], [True, 1], [0, False]])
+    def test_numbers_equal_to_bools_rejected(self, bad):
+        # 1 == True and 0 == False, so a check by == or by count(True) would let these in
+        with pytest.raises(DataError, match="label must be"):
+            ScoredBinarySet(bad, [0.1, 0.2])
 
 
 def _quoted(cell, force):
@@ -330,7 +336,7 @@ class TestStreamingLoadersMatchReference:
                                        positive_label, drop_bad_rows=drop_bad_rows)
         assert got_warnings == want_warnings
         if isinstance(got, ScoredBinarySet):
-            assert (list(got.flags), _hex(got.scores)) == (want[0], _hex(want[1]))
+            assert (list(got.labels), _hex(got.scores)) == (want[0], _hex(want[1]))
         else:
             assert got == want
 
@@ -434,7 +440,7 @@ class TestBlockEdgesMatchReference:
             drop_bad_rows=drop_bad_rows)
         assert got_warnings == want_warnings
         if isinstance(got, ScoredBinarySet):
-            assert (list(got.flags), _hex(got.scores)) == (want[0], _hex(want[1]))
+            assert (list(got.labels), _hex(got.scores)) == (want[0], _hex(want[1]))
         else:
             assert got == want
 
@@ -679,11 +685,11 @@ class TestMatrixTypes:
 
 
 class TestScoredBinarySetCache:
-    def test_flags_and_positive_count_are_computed_once(self):
+    def test_positive_count_is_computed_once(self):
         data = ScoredBinarySet([True, False, True], [0.9, 0.2, 0.4])
-        assert data.flags is data.flags
-        assert data.flags == (True, False, True)
+        assert "positive_count" not in vars(data)
         assert data.positive_count == 2 and data.negative_count == 1
+        assert vars(data)["positive_count"] == 2
 
     def test_ranking_columns_and_the_sign_of_a_zero_group(self):
         data = ScoredBinarySet([True, False, True, True, False], [0.5, -0.0, 0.9, 0.0, 0.5])

@@ -89,7 +89,7 @@ class TestWmw:
             pooled_auc = auc(roc_curve(pooled)).value
             assert wmw(data).value <= pooled_auc + 1e-12
             assert pooled_auc == pytest.approx(
-                pairwise_auc(pooled.flags, pooled.scores), rel=1e-12, abs=1e-12)
+                pairwise_auc(pooled.labels, pooled.scores), rel=1e-12, abs=1e-12)
 
 
 class TestFfa:

@@ -1,5 +1,6 @@
 """Checks on the repository's tooling that would otherwise need a benchmark run."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -95,7 +96,16 @@ def test_command_imports_only_its_own_family(argv, family, absent):
     assert not imported & (absent | _HEAVY)
 
 
+_F1 = ("--input", FIXTURES / "f1.csv", "--actual-col", "a", "--predicted-col", "p")
+
+
 @pytest.mark.parametrize("argv, calls", [
+    # a report computes each shared statistic once, and only what its ids need
+    (("regress", *_F1, "--ordered"),
+     {"dataset.load_paired_csv": 1, "regression.regression_report": 1, "stats.sum_sq_dev": 2,
+      "stats.sum_abs_dev": 1}),
+    (("regress", *_F1, "--metrics", "RMSE,MAE,MAPE"),
+     {"dataset.load_paired_csv": 1, "regression.regression_report": 1}),
     (("curves", "--kind", "roc", "--input", FIXTURES / "ties.csv", *_SCORED,
       "--lift-fraction", "0.5", "--cal"),
      {"dataset.load_scored_csv": 1, "curves.roc_curve": 1, "curves.auc": 1,
@@ -119,7 +129,8 @@ def test_command_imports_only_its_own_family(argv, family, absent):
     (("validate", "--check", "ri", *_MODELS),
      {"dataset.load_paired_csv": 2, "validation.reference_index": 1}),
     (("validate", "--check", "adequacy", "--observations", "10", "--parameters", "3"), {}),
-], ids=["roc_lift_cal", "pr", "classify", "tropsha", "rm", "objective", "ri", "adequacy"])
+], ids=["regress", "regress_ids", "roc_lift_cal", "pr", "classify", "tropsha", "rm", "objective",
+        "ri", "adequacy"])
 def test_traced_span_counts(capsys, argv, calls):
     # a metric table that held a function object instead of looking it up at
     # call time would hide that function's span from the trace
@@ -150,3 +161,33 @@ def test_commands_run_clean_in_dev_mode(argv):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def _unused_imports(path):
+    """The names that a module imports and no code in it reads, but for
+    imports on a line marked ``# noqa: F401``."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+# __init__.py is left out: its imports are the package's re-exports
+_MODULES = [path for path in sorted((ROOT / "src" / "modeval").glob("*.py"))
+            if path.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
