@@ -17,10 +17,10 @@ still costs exactly 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
 from math import fsum
 from operator import add, sub, truediv
-from typing import NamedTuple
 
 from .dataset import (NEGATIVE, POSITIVE, ConfusionMatrix2, ConfusionMatrixK, Metric,
                       MetricValue, PairedSeries, ScoredBinarySet, _check_probabilities,
@@ -30,17 +30,11 @@ from .errors import DataError, UsageError
 CLAMP_EPSILON = 1e-15
 
 
-class RateSet(NamedTuple):
-    """The eight confusion-matrix rates; complements pair up where defined."""
+class RateSet(namedtuple("RateSet", "tpr tnr ppv npv fpr fnr fdr for_rate")):
+    """The eight confusion-matrix rates, each a MetricValue; complements pair
+    up where defined."""
 
-    tpr: MetricValue
-    tnr: MetricValue
-    ppv: MetricValue
-    npv: MetricValue
-    fpr: MetricValue
-    fnr: MetricValue
-    fdr: MetricValue
-    for_rate: MetricValue
+    __slots__ = ()
 
 
 def _rate(metric_id: str, numerator: int, denominator: int) -> MetricValue:

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, repeat
 from math import fsum
 from operator import add, mul, sub, truediv
-from typing import NamedTuple
 
 from .dataset import Metric, MetricValue, ScoredBinarySet, _check_probabilities
 from .errors import DataError, DefinednessError, UsageError
@@ -30,36 +30,31 @@ from .errors import DataError, DefinednessError, UsageError
 CAL_WINDOW_SIZE = 100
 
 
-class RocCurve(NamedTuple):
+class RocCurve(namedtuple("RocCurve", "fpr tpr thresholds")):
     """Threshold sweep from (0,0) to (1,1); one vertex per distinct score.
 
     Held as three ``array("d")`` columns: the rates, and the thresholds, which
     are the ranking's thresholds after a leading ``inf``.
     """
 
-    fpr: array
-    tpr: array
-    thresholds: array
+    __slots__ = ()
 
 
-class PrCurve(NamedTuple):
+class PrCurve(namedtuple("PrCurve", "recall precision thresholds")):
     """Threshold sweep over distinct scores; recall reaches 1 at the last point.
 
     Held as three ``array("d")`` columns: the rates, and the ranking's own
     thresholds column.
     """
 
-    recall: array
-    precision: array
-    thresholds: array
+    __slots__ = ()
 
 
-class CalibrationReport(NamedTuple):
-    """Per-window calibration errors, each window ``CAL_WINDOW_SIZE`` cases, and
-    their mean."""
+class CalibrationReport(namedtuple("CalibrationReport", "window_errors cal")):
+    """Per-window calibration errors, each window ``CAL_WINDOW_SIZE`` cases, as
+    a tuple of floats, and their mean ``cal``."""
 
-    window_errors: tuple[float, ...]
-    cal: float
+    __slots__ = ()
 
 
 def roc_curve(data: ScoredBinarySet) -> RocCurve:

@@ -35,11 +35,10 @@ import csv
 import io
 import math
 from array import array
-from collections.abc import Callable
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
 from operator import itemgetter, ne
-from typing import NamedTuple
 
 from .errors import DataError, EmptyInputError, SchemaError, UsageError
 
@@ -136,30 +135,30 @@ class MetricValue(_Frozen):
         return self.status == DEFINED
 
 
-class Metric(NamedTuple):
+class Metric(namedtuple("Metric", "id fn note")):
     """One catalog entry of a metric family.
 
-    ``fn`` maps the family's shared context to the metric's MetricValue; the
-    context computes each statistic that several metrics share on first use.
-    A fact that is no metric (a count, a pass flag, a verdict) is returned as
-    the plain value, and an entry with one value per model as a list of
-    MetricValues. ``note`` is the exact formula variant, reported as
-    ``formula_note``: a string, or a function of the context for a note that
-    depends on the run.
+    ``id`` is the metric's id string. ``fn`` maps the family's shared context
+    to the metric's MetricValue; the context computes each statistic that
+    several metrics share on first use. A fact that is no metric (a count, a
+    pass flag, a verdict) is returned as the plain value, and an entry with
+    one value per model as a list of MetricValues. ``note`` is the exact
+    formula variant, reported as ``formula_note``: a string, or a function of
+    the context for a note that depends on the run.
     """
 
-    id: str
-    fn: Callable
-    note: str | Callable
+    __slots__ = ()
 
 
 def evaluate(table: dict, ctx, ids=None, family: str = "") -> dict:
     """Each requested entry's value on ``ctx``, by id in catalog order.
 
-    ``ids=None`` requests the whole table; otherwise an empty request or an
-    id the table lacks is a UsageError naming the ``family``. An ``fsum`` over
-    terms that overflowed to both infinities is an OverflowError.
+    ``ids=None`` requests the whole table; otherwise a string, an empty
+    request or an id the table lacks is a UsageError naming the ``family``. An
+    ``fsum`` over terms that overflowed to both infinities is an OverflowError.
     """
+    if isinstance(ids, str):  # iterating one would request its characters
+        raise UsageError(f"{family} metric ids must be a collection of ids, got the string {ids!r}")
     if ids is not None:
         requested = set(ids)
         if not requested:
@@ -236,7 +235,7 @@ def _coerce_label(label):
     raise DataError(f"label must be {POSITIVE!r}/{NEGATIVE!r} or a bool, got {label!r}")
 
 
-class Ranking(NamedTuple):
+class Ranking(namedtuple("Ranking", "scores cum_positives ends thresholds")):
     """Scores in one stable descending order: tied scores keep input order.
 
     ``cum_positives[k]`` counts the positives among the top k scores (so it
@@ -249,10 +248,7 @@ class Ranking(NamedTuple):
     0.0).
     """
 
-    scores: array
-    cum_positives: array
-    ends: array
-    thresholds: array
+    __slots__ = ()
 
 
 class ScoredBinarySet(_Frozen):

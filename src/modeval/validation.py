@@ -19,9 +19,8 @@ plain value.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections import namedtuple
 from math import fsum
-from typing import NamedTuple
 
 from .dataset import Metric, MetricValue, PairedSeries
 from .errors import DataError, DefinednessError, UsageError
@@ -39,33 +38,24 @@ RM_THRESHOLD = 0.5
 ADEQUACY_RANGE = (3.0, 5.0)
 
 
-class TropshaReport(NamedTuple):
+class TropshaReport(namedtuple("TropshaReport", "r2 k k_prime ro2 ro2_prime m_index n_index "
+                                                "pass_k pass_m pass_n overall_pass rm pass_rm")):
     """Through-origin slopes, their performance indexes and pass flags, and the
-    external predictability indicator Rm with its own pass flag."""
+    external predictability indicator Rm with its own pass flag. The numbers
+    are floats, but ``m_index`` and ``n_index`` are None when R2 is 0; the
+    flags are bools."""
 
-    r2: float
-    k: float
-    k_prime: float
-    ro2: float
-    ro2_prime: float
-    m_index: float | None
-    n_index: float | None
-    pass_k: bool
-    pass_m: bool
-    pass_n: bool
-    overall_pass: bool
-    rm: float
-    pass_rm: bool
+    __slots__ = ()
 
 
-class RiRanking(NamedTuple):
-    """Per-model normalized metrics, reference indexes, and the ranking."""
+class RiRanking(namedtuple("RiRanking", "model_ids normalized ri ranking tied_columns")):
+    """Per-model normalized metrics, reference indexes, and the ranking.
 
-    model_ids: tuple[str, ...]
-    normalized: dict
-    ri: tuple[float, ...]
-    ranking: tuple[int, ...]
-    tied_columns: tuple[str, ...]
+    ``normalized`` maps each metric id to a tuple of per-model values. The
+    other fields are tuples: the model ids, each model's RI, the model indexes
+    in rank order and the zero-range metric ids."""
+
+    __slots__ = ()
 
     @property
     def warnings(self) -> list[str]:
@@ -252,16 +242,15 @@ def _table(*metrics: Metric) -> dict:
     return {m.id: m for m in metrics}
 
 
-class Check(NamedTuple):
-    """A validation check: the CLI flags it reads, by argparse dest; the call
-    that builds its report from their values, one keyword argument per flag;
-    and its entries, each read from that report. ``model`` gives (model id,
-    PairedSeries) pairs. The call names its function rather than holding it,
-    so it runs whatever perfbench/tracing.py has patched in."""
+class Check(namedtuple("Check", "needs report table")):
+    """A validation check: a tuple of the CLI flags it reads, by argparse dest;
+    the call that builds its report from their values, one keyword argument
+    per flag; and its entries by id, each a Metric read from that report.
+    ``model`` gives (model id, PairedSeries) pairs. The call names its
+    function rather than holding it, so it runs whatever perfbench/tracing.py
+    has patched in."""
 
-    needs: tuple[str, ...]
-    report: Callable
-    table: dict
+    __slots__ = ()
 
 
 CHECKS = {

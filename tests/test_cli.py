@@ -388,6 +388,16 @@ class TestValidate:
         assert err == ("modeval: usage error: --check ri requires at least two "
                        "--model NAME=PATH flags\n")
 
+    @pytest.mark.parametrize("model_arg", [f"={FIXTURES / 'model_b.csv'}", "b=", "b"],
+                             ids=["no-name", "no-path", "no-sep"])
+    def test_malformed_model_flag_is_usage_error(self, capsys, model_arg):
+        # the name, the "=" and the path are each required
+        code, out, err = run_cli(capsys, "validate", "--check", "ri",
+                                 "--model", f"a={FIXTURES / 'model_a.csv'}",
+                                 "--model", model_arg)
+        assert (code, out) == (1, "")
+        assert err == f"modeval: usage error: --model expects NAME=PATH, got {model_arg!r}\n"
+
     def test_constant_input_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "constant.csv"
         path.write_text("actual,predicted\n2,1\n2,2\n2,3\n")

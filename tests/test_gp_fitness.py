@@ -75,6 +75,11 @@ class TestWmw:
         data = ClassOutputs([0.4, -0.2], [0.1, -0.5])
         assert wmw(data).value == 0.5
 
+    def test_tied_pair_does_not_count(self):
+        # only a strict win counts: the 0.5/0.5 pair would make it 3/4
+        data = ClassOutputs([0.5, 0.2], [0.5, 0.1])
+        assert wmw(data).value == 0.5
+
     def test_negative_minority_scores_never_count(self):
         data = ClassOutputs([-0.1, -0.9], [-2.0, -3.0])
         assert wmw(data).value == 0.0

@@ -181,6 +181,13 @@ class TestReport:
         with pytest.raises(UsageError):
             point_metric("BOGUS", f1)
 
+    @pytest.mark.parametrize("ids", ["RMSE", "R"])
+    def test_string_of_ids_rejected(self, f1, ids):
+        # a str is no collection of ids: "RMSE" is not {"R", "M", "S", "E"}
+        with pytest.raises(UsageError, match=f"^regression metric ids must be a collection of "
+                                             f"ids, got the string '{ids}'$"):
+            regression_report(f1, ids)
+
     def test_residuals_overflowing_to_both_infinities_are_an_overflow(self):
         # fsum refuses a +inf and a -inf term; evaluate names it an overflow
         series = PairedSeries([1e308, -1e308], [-1e308, 1e308])

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,9 +58,10 @@ def test_traced_loaders_count_rows():
 _SCORED = ("--label-col", "label", "--score-col", "score", "--positive", "pos")
 _MODELS = ("--model", f"a={FIXTURES / 'model_a.csv'}", "--model", f"b={FIXTURES / 'model_b.csv'}")
 _CLI = ("-m", "modeval.cli")
-# loaded by no process modeval starts: hashlib loads OpenSSL's libcrypto, and
-# dataclasses loads inspect, which loads ast, dis and tokenize
-_HEAVY = {"hashlib", "_hashlib", "dataclasses", "inspect"}
+# loaded by no process modeval starts: hashlib loads OpenSSL's libcrypto,
+# dataclasses loads inspect, which loads ast, dis and tokenize, and typing is
+# start-up time that collections.namedtuple does without
+_HEAVY = {"hashlib", "_hashlib", "dataclasses", "inspect", "typing"}
 
 
 @pytest.mark.parametrize("argv, family, absent", [
@@ -86,8 +88,11 @@ _HEAVY = {"hashlib", "_hashlib", "dataclasses", "inspect"}
 ], ids=["regress", "classify", "curves", "validate", "validate-ri", "validate-tropsha",
         "validate-rm", "validate-adequacy", "gp_fitness"])
 def test_command_imports_only_its_own_family(argv, family, absent):
-    result = subprocess.run([sys.executable, "-X", "importtime", *map(str, argv)],
-                            capture_output=True, text=True)
+    # -S: a site .pth file may import typing (certifi's does), and what site
+    # loads is no import of modeval's
+    result = subprocess.run([sys.executable, "-S", "-X", "importtime", *map(str, argv)],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert result.returncode == 0, result.stderr
     imported = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
