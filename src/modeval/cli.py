@@ -60,43 +60,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class _DigestingReader(io.RawIOBase):
-    """An unbuffered input file, owned and closed by this reader, that feeds
-    each byte it reads to a hash: the digest is taken as the loader streams
-    the file, and the file's bytes are never held."""
-
-    def __init__(self, file, hasher):
-        self._file = file
-        self._hasher = hasher
-        self._position = 0
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(buffer)
-        if n:
-            self._hasher.update(memoryview(buffer)[:n])
-            self._position += n
-        return n
-
-    def tell(self) -> int:
-        return self._position
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
 class _InputFile(io.BufferedReader):
     """An input file as the loaders read it: buffered, and digested as it streams.
 
-    ``count`` reads the file again from disk. It serves perfbench/tracing.py,
-    which counts a loader's rows as the newlines in the loader's input."""
+    ``TextIOWrapper`` reads a buffered stream only through ``read1``, so every
+    byte a loader sees passes through the hash there, and no byte is held;
+    ``close`` closes the file. ``tell`` counts the bytes read, because a pipe
+    cannot say where it stands and the loaders name a bad byte by its offset.
+    ``count`` reads the file again from disk for perfbench/tracing.py, which
+    counts a loader's rows as the newlines in its input."""
 
     def __init__(self, path: str, hasher):
-        super().__init__(_DigestingReader(open(path, "rb", buffering=0), hasher))
+        super().__init__(open(path, "rb", buffering=0))
         self._path = path
+        self._hasher = hasher
+        self._position = 0
+
+    def read1(self, size: int = -1) -> bytes:
+        chunk = super().read1(size)
+        self._hasher.update(chunk)
+        self._position += len(chunk)
+        return chunk
+
+    def tell(self) -> int:
+        return self._position
 
     def count(self, sub: bytes) -> int:
         with open(self._path, "rb") as fh:
@@ -105,8 +92,9 @@ class _InputFile(io.BufferedReader):
 
 class _Inputs:
     """Streams a command's input files through one digest and collects loader
-    warnings. The digest is the sha256 of the files concatenated in the order
-    they are read; each loader reads its file to the end."""
+    warnings. The digest, taken in each ``_InputFile``'s ``read1``, is the
+    sha256 of the files joined in the order they are read; each loader reads
+    its file to the end, and its byte offsets come from ``_InputFile.tell``."""
 
     def __init__(self):
         self.hasher = sha256()

@@ -619,8 +619,8 @@ class TestCliFuzz:
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
 class TestPipeInput:
-    """A pipe cannot seek or say where it stands, so the digesting reader
-    counts its own position for the loaders' byte offsets."""
+    """A pipe cannot seek or say where it stands, so ``cli._InputFile`` counts
+    its own position for the loaders' byte offsets."""
 
     @staticmethod
     def _regress(capsys, tmp_path, data):
@@ -647,6 +647,13 @@ class TestPipeInput:
         assert code == 2 and not out
         assert err == ("modeval: error: input is not valid UTF-8: invalid start byte "
                        "at byte 10\n")
+
+    def test_bad_byte_offset_past_the_first_buffer(self, capsys, tmp_path):
+        data = b"a,p\n" + b"1.25,2.5\n" * 20_000 + b"3,\xff4\n"
+        code, out, err = self._regress(capsys, tmp_path, data)
+        assert code == 2 and not out
+        assert err == ("modeval: error: input is not valid UTF-8: invalid start byte "
+                       "at byte 180006\n")
 
 
 class TestCsvReaderError:
@@ -755,7 +762,9 @@ class TestInputStreaming:
         b"a,p\n1,2\n3,5\n\n\n\r\n",
         b"a,p\n1,2\n3,5",
         b"a,p\n" + b"1.25,2.5\n" * 20_000,
-    ], ids=["bom", "crlf", "trailing-blank-lines", "no-final-newline", "many-buffers"])
+        b"a,p\n" + b"1,2\n" * 4095,  # 16384 bytes: the file ends on a whole 8 KiB chunk
+    ], ids=["bom", "crlf", "trailing-blank-lines", "no-final-newline", "many-buffers",
+            "buffer-multiple"])
     def test_digest_is_the_sha256_of_the_raw_file(self, capsys, tmp_path, data):
         path = tmp_path / "input.csv"
         path.write_bytes(data)
@@ -779,6 +788,40 @@ class TestInputStreaming:
                           "--observations", "10", "--parameters", "3")
         text = b"observations=10,parameters=3"
         assert doc["input_digest"] == hashlib.sha256(text).hexdigest()
+
+
+class TestInputReadPath:
+    """The loaders read an input file only through ``_InputFile.read1``, where
+    the digest is taken. A loader that read around it would leave bytes out of
+    the hash, so here every other read method fails the run."""
+
+    def test_every_byte_is_read_through_read1(self, capsys, monkeypatch, tmp_path):
+        from modeval import cli
+
+        class Read1Only(cli._InputFile):
+            def _refuse(self, *args):
+                raise AssertionError("an input file was read around read1")
+
+            read = readinto = readinto1 = readline = readlines = peek = _refuse
+
+        monkeypatch.setattr(cli, "_InputFile", Read1Only)
+        many = tmp_path / "many.csv"
+        many.write_bytes(b"a,p\n" + b"1.25,2.5\n" * 20_000)
+        c1, model_a, model_b = (FIXTURES / f"{name}.csv"
+                                for name in ("c1", "model_a", "model_b"))
+        runs = [
+            (("regress", "--input", many, "--actual-col", "a", "--predicted-col", "p"),
+             [many]),
+            (("classify", "--input", c1, "--label-col", "label", "--score-col", "score",
+              "--positive", "pos"), [c1]),
+            (("validate", "--check", "objective", "--train", model_a,
+              "--validation", model_b), [model_a, model_b]),
+        ]
+        for argv, paths in runs:
+            code, doc = run_json(capsys, *map(str, argv))
+            assert code == 0
+            joined = b"".join(path.read_bytes() for path in paths)
+            assert doc["input_digest"] == hashlib.sha256(joined).hexdigest()
 
 
 class TestInputFilesClosed:
