@@ -50,13 +50,6 @@ class PrCurve(namedtuple("PrCurve", "recall precision thresholds")):
     __slots__ = ()
 
 
-class CalibrationReport(namedtuple("CalibrationReport", "window_errors cal")):
-    """Per-window calibration errors, each window ``CAL_WINDOW_SIZE`` cases, as
-    a tuple of floats, and their mean ``cal``."""
-
-    __slots__ = ()
-
-
 def roc_curve(data: ScoredBinarySet) -> RocCurve:
     """ROC sweep; ties move diagonally in one step, endpoints always present."""
     positives = data.positive_count
@@ -159,18 +152,26 @@ def lift(data: ScoredBinarySet, fraction: float) -> MetricValue:
     return MetricValue.defined("LIFT", value, flags=flags)
 
 
-def calibration_error(data: ScoredBinarySet) -> CalibrationReport:
+def calibration_error(data: ScoredBinarySet) -> MetricValue:
     """Sliding-window calibration error over score-sorted cases.
 
     Cases are sorted ascending by score (ties keep input order); every
     contiguous window of 100 contributes |observed positive frequency - mean
-    predicted score|, and CAL is the mean of the window errors.
+    predicted score|, and CAL is the mean of the window errors, which are
+    summed as they are made and not kept.
     """
     n = len(data)
     if n < CAL_WINDOW_SIZE:
         raise DataError(
             f"calibration needs at least {CAL_WINDOW_SIZE} cases, got {n}")
     _check_probabilities(data.scores)
+    return MetricValue.defined(
+        "CAL", fsum(_window_errors(data)) / (n - CAL_WINDOW_SIZE + 1))
+
+
+def _window_errors(data: ScoredBinarySet):
+    """Yield each window's |positive frequency - mean score|, windows in ascending score order."""
+    n = len(data)
     ranking = data.ranking
     cum = ranking.cum_positives
     # The ascending order is the ranking's groups in reverse, each group in input
@@ -178,22 +179,20 @@ def calibration_error(data: ScoredBinarySet) -> CalibrationReport:
     # ranking differs from it only inside groups, whose scores are equal, so its
     # windows have the same score sums.
     ends = ranking.ends
-    hits = []
+    hits = array("Q")
     for first, end in zip(reversed((0, *ends[:-1])), reversed(ends)):
         # positives ranked below the group, then those ahead of each member in it
         hits.extend(map(add, cum[first:end], repeat(cum[n] - cum[end] - cum[first])))
     hits.append(cum[n])
     scores = ranking.scores[::-1]
-    errors = [abs((hits[start + CAL_WINDOW_SIZE] - hits[start]) / CAL_WINDOW_SIZE -
+    for start in range(n - CAL_WINDOW_SIZE + 1):
+        yield abs((hits[start + CAL_WINDOW_SIZE] - hits[start]) / CAL_WINDOW_SIZE -
                   fsum(scores[start:start + CAL_WINDOW_SIZE]) / CAL_WINDOW_SIZE)
-              for start in range(n - CAL_WINDOW_SIZE + 1)]
-    return CalibrationReport(tuple(errors), fsum(errors) / len(errors))
 
 
 class CurveContext:
     """A scored set, its sweep of one kind (``roc`` or ``pr``) and the options
-    of the metrics on it. The sweep and the calibration report are computed on
-    first use and kept."""
+    of the metrics on it. The sweep is computed on first use and kept."""
 
     def __init__(self, data: ScoredBinarySet, kind: str,
                  lift_fraction: float | None = None, cal: bool = False):
@@ -202,10 +201,6 @@ class CurveContext:
     @cached_property
     def curve(self) -> RocCurve | PrCurve:
         return roc_curve(self.data) if self.kind == "roc" else pr_curve(self.data)
-
-    @cached_property
-    def calibration(self) -> CalibrationReport:
-        return calibration_error(self.data)
 
     @property
     def ids(self) -> list[str]:
@@ -230,8 +225,8 @@ METRICS = {m.id: m for m in (
     Metric("LIFT", lambda c: lift(c.data, c.lift_fraction),
            lambda c: "LIFT = (share of all positives in the top ceil(fraction*n) scores) "
                      f"/ fraction [fraction = {c.lift_fraction:g}]"),
-    Metric("CAL", lambda c: MetricValue.defined("CAL", c.calibration.cal),
+    Metric("CAL", lambda c: calibration_error(c.data),
            lambda c: f"CAL = mean over sliding windows of {CAL_WINDOW_SIZE} score-sorted "
                      "cases of |positive frequency - mean score| "
-                     f"[{len(c.calibration.window_errors)} windows]"),
+                     f"[{len(c.data) - CAL_WINDOW_SIZE + 1} windows]"),
 )}

@@ -286,6 +286,21 @@ class TestCurves:
         assert code == 0
         assert metric_map(doc)["CAL"]["value"] == 0.0
 
+    @pytest.mark.parametrize("rows, code", [(100, 0), (99, 2)])
+    def test_cal_note_counts_one_window_at_100_cases(self, capsys, tmp_path, rows, code):
+        path = tmp_path / "edge.csv"
+        path.write_text("label,score\n" + "".join(f"{('pos', 'neg')[i % 2]},0.5\n"
+                                                  for i in range(rows)))
+        got, out, err = run_cli(capsys, "curves", "--kind", "roc", "--input", str(path),
+                                "--label-col", "label", "--score-col", "score",
+                                "--positive", "pos", "--cal")
+        assert got == code, err
+        if code == 0:
+            note = metric_map(json.loads(out))["CAL"]["formula_note"]
+            assert note.endswith("[1 windows]")
+        else:
+            assert "at least 100 cases, got 99" in err
+
     def test_pr_sorts_once(self, capsys, monkeypatch):
         import modeval.curves as curves
 
@@ -867,7 +882,9 @@ class TestScoredMemory:
     ``--kind roc`` at 95-99 and ``classify --metrics all`` at 35-81 (Python
     3.10-3.13). A second n-item label tuple, such as bool flags cached next
     to label strings, took the curves to 105-109 and 103-107 B/row; boxed
-    ranking counts and curve rates took ``pr`` to about 220.
+    ranking counts and curve rates took ``pr`` to about 220. ``--kind roc
+    --cal`` peaks at 106-110 B/row (Python 3.11); keeping every window's
+    calibration error took it to 154-158.
     """
 
     ROWS = 20_000
@@ -898,6 +915,9 @@ class TestScoredMemory:
 
     def test_roc_curve_peak(self, capsys, tmp_path):
         assert self._peak(capsys, tmp_path, "curves", "--kind", "roc") < 102
+
+    def test_calibration_peak(self, capsys, tmp_path):
+        assert self._peak(capsys, tmp_path, "curves", "--kind", "roc", "--cal") < 115
 
     def test_classify_peak(self, capsys, tmp_path):
         assert self._peak(capsys, tmp_path, "classify", "--metrics", "all") < 115

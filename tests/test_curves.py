@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from _oracles import (pairwise_auc, reference_auc, reference_average_precision,
                       reference_break_even, reference_cal_windows, reference_lift,
                       reference_pr_points, reference_roc_points)
-from modeval.curves import (CalibrationReport, auc, average_precision,
-                            break_even_point, calibration_error, lift, pr_curve,
-                            roc_curve)
+from modeval.curves import (CAL_WINDOW_SIZE, METRICS, CurveContext, _window_errors, auc,
+                            average_precision, break_even_point, calibration_error, lift,
+                            pr_curve, roc_curve)
 from modeval.dataset import MetricValue, ScoredBinarySet
 from modeval.errors import DataError, DefinednessError, UsageError
 
@@ -262,15 +262,14 @@ class TestLift:
 class TestCalibration:
     def test_alternating_constant_scores(self):
         # 200 cases, all scored 0.5, labels alternating: every window holds 50
-        flags = [i % 2 == 0 for i in range(200)]
-        report = calibration_error(ScoredBinarySet(flags, [0.5] * 200))
-        assert report.cal == 0.0
-        assert len(report.window_errors) == 101
+        data = ScoredBinarySet([i % 2 == 0 for i in range(200)], [0.5] * 200)
+        assert calibration_error(data) == MetricValue.defined("CAL", 0.0)
+        assert list(_window_errors(data)) == [0.0] * 101
 
     def test_confident_and_wrong(self):
-        report = calibration_error(ScoredBinarySet([False] * 120, [1.0] * 120))
-        assert report.cal == 1.0
-        assert all(e == 1.0 for e in report.window_errors)
+        data = ScoredBinarySet([False] * 120, [1.0] * 120)
+        assert calibration_error(data).value == 1.0
+        assert list(_window_errors(data)) == [1.0] * 21
 
     def test_too_few_cases(self):
         with pytest.raises(DataError, match="100"):
@@ -284,36 +283,46 @@ class TestCalibration:
         n = 150
         flags = [i % 2 == 0 for i in range(n)]
         base = calibration_error(ScoredBinarySet(flags, [0.5] * n))
-        assert base.cal == 0.0
+        assert base.value == 0.0
         window_count = n - 100 + 1
         for position in (10, 75):
             mutated = list(flags)
             mutated[position] = not mutated[position]
-            report = calibration_error(ScoredBinarySet(mutated, [0.5] * n))
+            value = calibration_error(ScoredBinarySet(mutated, [0.5] * n)).value
             containing = (min(position, n - 100) - max(0, position - 99)) + 1
             expected = containing * (1 / 100) / window_count
-            assert report.cal == pytest.approx(expected, rel=1e-12)
+            assert value == pytest.approx(expected, rel=1e-12)
 
     def test_permutation_invariant_with_distinct_scores(self):
         rng = random.Random(97)
         n = 130
         scores = rng.sample([i / 1000 for i in range(1000)], n)
         flags = [rng.random() < s for s in scores]
-        base = calibration_error(ScoredBinarySet(flags, scores)).cal
+        base = calibration_error(ScoredBinarySet(flags, scores)).value
         order = list(range(n))
         rng.shuffle(order)
         shuffled = calibration_error(
             ScoredBinarySet([flags[i] for i in order],
-                            [scores[i] for i in order])).cal
+                            [scores[i] for i in order])).value
         assert shuffled == base
 
     def test_report_mean_invariant(self):
         rng = random.Random(101)
         scores = [rng.random() for _ in range(110)]
         flags = [rng.random() < 0.5 for _ in range(110)]
-        report = calibration_error(ScoredBinarySet(flags, scores))
-        assert report.cal == pytest.approx(
-            math.fsum(report.window_errors) / len(report.window_errors), rel=1e-15)
+        data = ScoredBinarySet(flags, scores)
+        errors = list(_window_errors(data))
+        assert calibration_error(data).value == math.fsum(errors) / len(errors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(CAL_WINDOW_SIZE, 400))
+    def test_note_counts_the_windows_the_generator_yields(self, n):
+        # the note counts windows from n; the generator makes them one by one
+        data = ScoredBinarySet([i % 3 == 0 for i in range(n)], [(i % 7) / 7 for i in range(n)])
+        windows = sum(1 for _ in _window_errors(data))
+        assert windows == n - CAL_WINDOW_SIZE + 1
+        note = METRICS["CAL"].note(CurveContext(data, "roc", cal=True))
+        assert note.endswith(f"[{windows} windows]")
 
 
 def _tie_heavy_scores(n):
@@ -380,7 +389,8 @@ class TestRankingOracle:
     @given(scored_sets(100))
     def test_calibration_windows_match_reference(self, case):
         flags, scores = case
-        report = calibration_error(ScoredBinarySet(flags, scores))
+        data = ScoredBinarySet(flags, scores)
         reference = reference_cal_windows(flags, scores)
-        assert [e.hex() for e in report.window_errors] == [e.hex() for e in reference]
-        assert report.cal.hex() == (math.fsum(reference) / len(reference)).hex()
+        assert [e.hex() for e in _window_errors(data)] == [e.hex() for e in reference]
+        assert calibration_error(data).value.hex() == \
+            (math.fsum(reference) / len(reference)).hex()

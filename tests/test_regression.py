@@ -240,6 +240,17 @@ class TestIdentities:
         assert mae <= rmse * (1 + 1e-12) + 1e-15
         assert rmse <= math.sqrt(n) * mae * (1 + 1e-12) + 1e-15
 
+    @pytest.mark.parametrize("actual, predicted, clipped", [
+        ([1.0, 0.8262955117986266], [99996.7, 82626.25117986265], 1.0),
+        ([0.0009786859904878185, 0.701248150219702],
+         [0.9990213140095122, 0.298751849780298], -1.0)])
+    def test_r_is_clipped_to_unit_interval(self, actual, predicted, clipped):
+        # on these pairs rounding takes s_ap / sqrt(s_aa * s_pp) one ulp past +-1
+        series = PairedSeries(actual, predicted)
+        c = SeriesContext(series)
+        assert abs(c.s_ap / math.sqrt(c.s_aa * c.s_pp)) > 1
+        assert regression_report(series, ["R"])["R"].value == clipped
+
     def test_nrmse_times_mean_recovers_rmse(self):
         rng = random.Random(11)
         for _ in range(50):

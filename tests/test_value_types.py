@@ -8,7 +8,7 @@ from array import array
 import pytest
 
 from modeval.classification import ProbabilityMatrix, RateSet
-from modeval.curves import CalibrationReport, PrCurve, RocCurve
+from modeval.curves import PrCurve, RocCurve
 from modeval.dataset import (ConfusionMatrix2, ConfusionMatrixK, Metric, MetricValue,
                              PairedSeries, ScoredBinarySet)
 from modeval.gp_fitness import ClassOutputs
@@ -42,7 +42,6 @@ CASES = [
                     thresholds=(math.inf, 0.5)), dict(thresholds=(math.inf, 0.25))),
     (PrCurve, dict(recall=array("d", [0.5, 1.0]), precision=array("d", [1.0, 0.5]),
                    thresholds=(0.9, 0.1)), dict(thresholds=(0.9, 0.2))),
-    (CalibrationReport, dict(window_errors=(0.125, 0.25), cal=0.1875), dict(cal=0.25)),
     (ClassOutputs, dict(minority=(1.0, 2.0), majority=(-1.0,)), dict(majority=(-2.0,))),
 ]
 
