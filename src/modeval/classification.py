@@ -17,6 +17,7 @@ still costs exactly 0.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
 from functools import cached_property
 from math import fsum
@@ -24,7 +25,7 @@ from operator import add, sub, truediv
 
 from .dataset import (NEGATIVE, POSITIVE, ConfusionMatrix2, ConfusionMatrixK, Metric,
                       MetricValue, PairedSeries, ScoredBinarySet, _check_probabilities,
-                      _Frozen)
+                      _Frozen, _real, _real_column)
 from .errors import DataError, UsageError
 
 CLAMP_EPSILON = 1e-15
@@ -91,7 +92,7 @@ def f_beta(matrix: ConfusionMatrix2, beta: float) -> MetricValue:
     is undefined. Precision and recall both undefined, or both zero, yields
     an undefined result.
     """
-    beta = float(beta)
+    beta = _real(beta, "beta")
     if not beta > 0:
         raise UsageError(f"beta must be positive, got {beta!r}")
     metric_id = f"F{beta:g}"
@@ -140,7 +141,7 @@ def average_class_accuracy(matrix: ConfusionMatrix2, w: float) -> MetricValue:
 
 
 def _average_class_accuracy(r: RateSet, w: float) -> MetricValue:
-    w = float(w)
+    w = _real(w, "weight")
     if not 0.0 < w < 1.0:
         raise UsageError(f"weight must lie strictly between 0 and 1, got {w!r}")
     return _combine("ACA", r.tpr, r.tnr, lambda x, y: w * x + (1.0 - w) * y)
@@ -192,7 +193,7 @@ class ProbabilityMatrix(_Frozen):
     true_class: tuple[int, ...]
 
     def __init__(self, rows, true_class):
-        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        rows = tuple(tuple(_real_column(row, f"rows[{i}]")) for i, row in enumerate(rows))
         true_class = tuple(true_class)
         if len(rows) != len(true_class):
             raise DataError(f"{len(rows)} probability rows but {len(true_class)} true classes")
@@ -334,7 +335,7 @@ class ThresholdContext:
     @cached_property
     def indicator_series(self) -> PairedSeries:
         """(label, score) pairs for the vector distances; a bool label is 1.0 or 0.0."""
-        return PairedSeries(self.data.labels, self.data.scores)
+        return PairedSeries(array("d", self.data.labels), self.data.scores)
 
 
 # The tally itself, reported ahead of the requested metrics.

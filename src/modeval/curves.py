@@ -24,7 +24,7 @@ from itertools import chain, repeat
 from math import fsum
 from operator import add, mul, sub, truediv
 
-from .dataset import Metric, MetricValue, ScoredBinarySet, _check_probabilities
+from .dataset import Metric, MetricValue, ScoredBinarySet, _check_probabilities, _real
 from .errors import DataError, DefinednessError, UsageError
 
 CAL_WINDOW_SIZE = 100
@@ -132,7 +132,7 @@ def lift(data: ScoredBinarySet, fraction: float) -> MetricValue:
     """
     from fractions import Fraction  # only lift needs it; keep it off the import path
 
-    fraction = float(fraction)
+    fraction = _real(fraction, "fraction")
     if not 0.0 < fraction <= 1.0:
         raise UsageError(f"fraction must lie in (0, 1], got {fraction!r}")
     positives = data.positive_count

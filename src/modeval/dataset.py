@@ -13,6 +13,10 @@ only to another array; and it must be treated as read-only, since nothing
 stops a write to it. The attributes themselves still cannot be rebound. The
 one label column, ``ScoredBinarySet.labels``, is a tuple of bools.
 
+Every float column of a value type, and every scalar parameter, takes real
+numbers only: ints or floats, not bools, finite as doubles. ``_real_column``
+(a DataError) and ``_real`` (a UsageError) apply that one rule.
+
 CSV dialect: UTF-8 text, comma separator, first row is a header, ``.``
 decimal point, optional UTF-8 byte order mark. The csv module splits the
 records: only LF, CRLF and CR end one, and a quoted field may hold a line
@@ -173,20 +177,44 @@ def evaluate(table: dict, ctx, ids=None, family: str = "") -> dict:
         raise OverflowError(exc) from exc
 
 
-def _check_finite(values, name):
-    if all(map(math.isfinite, values)):
-        return
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise DataError(f"{name}[{i}] is not finite: {v!r}")
+def _not_real(value) -> str | None:
+    """Why ``value`` is no real number, or None if it is one: an int or a
+    float, not a bool, that is finite as a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"is not a real number: {value!r}"
+    try:
+        return None if math.isfinite(value) else f"is not finite: {value!r}"
+    except OverflowError:  # an int too large for a double; its repr may pass the digit limit
+        return f"is an int too large for a double ({value.bit_length()} bits)"
 
 
-def _float_column(values) -> array:
-    """An ``array("d")`` of ``values``: an array of doubles is copied whole,
-    and anything else is converted value by value with ``float()``."""
+def _real(value, name: str) -> float:
+    """A scalar parameter that must be a real number, as a float."""
+    problem = _not_real(value)
+    if problem is not None:
+        raise UsageError(f"{name} {problem}")
+    return float(value)
+
+
+def _real_column(values, name: str) -> array:
+    """``values``, which must be real numbers, as an ``array("d")``; the first
+    that is not one is a DataError naming ``name[i]`` and the value. An array
+    of doubles is copied whole, and plain ints and floats convert at C level."""
     if isinstance(values, array) and values.typecode == "d":
-        return array("d", values)
-    return array("d", map(float, values))
+        column = array("d", values)
+    else:
+        values = values if isinstance(values, (list, tuple)) else list(values)
+        try:  # array() would take a bool, so only plain ints and floats go straight in
+            column = array("d", values) if set(map(type, values)) <= {float, int} else None
+        except OverflowError:  # an int too large for a double
+            column = None
+    # a NaN or an infinity makes the sum non-finite, and so may finite values that overflow it
+    if column is None or not math.isfinite(sum(column)):
+        for i, problem in enumerate(map(_not_real, values)):
+            if problem is not None:
+                raise DataError(f"{name}[{i}] {problem}")
+        column = array("d", values)  # a subclass of int or float passes the scan
+    return column
 
 
 def _check_probabilities(scores):
@@ -202,9 +230,9 @@ class PairedSeries(_Frozen):
     """Aligned actual/predicted observations in the units of the modeled quantity.
 
     ``actual`` and ``predicted`` are read-only ``array("d")`` columns of their
-    own, copied or converted from the arguments. ``ordered`` declares whether
-    index order is a meaningful time/sequence order; metrics that difference
-    consecutive actuals (MASE) require it.
+    own, which ``_real_column`` copies from the arguments. ``ordered``
+    declares whether index order is a meaningful time/sequence order; metrics
+    that difference consecutive actuals (MASE) require it.
     """
 
     actual: array
@@ -212,15 +240,13 @@ class PairedSeries(_Frozen):
     ordered: bool
 
     def __init__(self, actual, predicted, ordered: bool = False):
-        actual = _float_column(actual)
-        predicted = _float_column(predicted)
+        actual = _real_column(actual, "actual")
+        predicted = _real_column(predicted, "predicted")
         if len(actual) != len(predicted):
             raise DataError(
                 f"actual has {len(actual)} values but predicted has {len(predicted)}")
         if not actual:
             raise EmptyInputError("a paired series needs at least one observation")
-        _check_finite(actual, "actual")
-        _check_finite(predicted, "predicted")
         self._set(actual, predicted, ordered)
 
     def __len__(self) -> int:
@@ -256,8 +282,8 @@ class ScoredBinarySet(_Frozen):
 
     Scores are probabilities in [0, 1] when the consuming metric demands one,
     otherwise any real margin; they are held as a read-only ``array("d")``,
-    copied or converted from the argument. ``labels`` is a tuple of bools,
-    True for the positive class; the argument may hold bools or the
+    which ``_real_column`` copies from the argument. ``labels`` is a tuple of
+    bools, True for the positive class; the argument may hold bools or the
     ``POSITIVE``/``NEGATIVE`` constants, and nothing else.
     """
 
@@ -269,12 +295,11 @@ class ScoredBinarySet(_Frozen):
         # isinstance, not ==: 1 == True, and 1 is no label
         if not all(map(isinstance, labels, repeat(bool))):
             labels = tuple(map(_coerce_label, labels))
-        scores = _float_column(scores)
+        scores = _real_column(scores, "scores")
         if len(labels) != len(scores):
             raise DataError(f"{len(labels)} labels but {len(scores)} scores")
         if not labels:
             raise EmptyInputError("a scored set needs at least one observation")
-        _check_finite(scores, "scores")
         self._set(labels, scores)
 
     def __len__(self) -> int:
@@ -575,9 +600,7 @@ def confusion_from_scores(data: ScoredBinarySet, threshold: float) -> ConfusionM
 
     Ties go positive: score >= threshold predicts the positive class.
     """
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise UsageError(f"threshold must be finite, got {threshold!r}")
+    threshold = _real(threshold, "threshold")
     tp = fp = fn = tn = 0
     for is_positive, score in zip(data.labels, data.scores):
         predicted_positive = score >= threshold

@@ -16,17 +16,19 @@ from functools import cached_property
 from math import fsum
 
 from ._stats import sum_sq_dev
-from .dataset import MetricValue, _check_finite, _Frozen
+from .dataset import MetricValue, _Frozen, _real_column
 from .errors import DataError
 
 
 class ClassOutputs(_Frozen):
     """Raw classifier outputs split by true class; both sides nonempty.
 
-    The sides stay tuples of boxed floats, unlike the ``array("d")`` columns
-    of the dataset types: ``wmw`` compares every minority output with every
-    majority output, and an array would box each majority output again for
-    every minority output it meets.
+    Each side must hold real numbers, as ``dataset._real_column`` defines
+    them; a DataError names the first other value as ``minority[i]`` or
+    ``majority[i]``. The sides stay tuples of boxed floats, unlike the
+    ``array("d")`` columns of the dataset types: ``wmw`` compares every
+    minority output with every majority output, and an array would box each
+    majority output again for every minority output it meets.
     """
 
     minority: tuple[float, ...]
@@ -35,10 +37,9 @@ class ClassOutputs(_Frozen):
     def __init__(self, minority, majority):
         sides = []
         for name, outputs in (("minority", minority), ("majority", majority)):
-            values = tuple(float(v) for v in outputs)
+            values = tuple(_real_column(outputs, name))
             if not values:
                 raise DataError(f"{name} outputs must be nonempty")
-            _check_finite(values, name)
             sides.append(values)
         self._set(*sides)
 

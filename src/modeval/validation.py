@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from math import fsum
 
-from .dataset import Metric, MetricValue, PairedSeries
+from .dataset import Metric, MetricValue, PairedSeries, _not_real
 from .errors import DataError, DefinednessError, UsageError
 from .regression import METRICS, SeriesContext
 
@@ -184,7 +184,7 @@ def reference_index_from_metrics(model_ids, triples) -> RiRanking:
     normalize to 0 for every model and are reported in ``tied_columns``.
     """
     model_ids = tuple(str(m) for m in model_ids)
-    triples = [tuple(float(v) for v in t) for t in triples]
+    triples = [tuple(t) for t in triples]
     if len(model_ids) != len(triples):
         raise UsageError(f"{len(model_ids)} model ids but {len(triples)} metric triples")
     if len(model_ids) < 2:
@@ -193,7 +193,7 @@ def reference_index_from_metrics(model_ids, triples) -> RiRanking:
         raise UsageError(f"duplicate model ids in {model_ids}")
     for model_id, triple in zip(model_ids, triples):
         # a negative error would let a column's range overflow to inf and its ri be NaN
-        if len(triple) != 3 or not all(0.0 <= v < math.inf for v in triple):
+        if len(triple) != 3 or any(map(_not_real, triple)) or min(triple) < 0:
             raise DataError(f"model {model_id!r}: (RMSE, MAE, MAPE) must be three "
                             f"finite non-negative numbers, got {triple}")
     normalized = {}

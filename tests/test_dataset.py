@@ -2,6 +2,7 @@ import gc
 import io
 import math
 import random
+import re
 import tracemalloc
 from array import array
 
@@ -10,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_paired_csv, reference_scored_csv
+from modeval.classification import ProbabilityMatrix, average_class_accuracy, f_beta
+from modeval.curves import lift
 from modeval.dataset import (ConfusionMatrix2, ConfusionMatrixK, MetricValue,
                              NEGATIVE, PairedSeries, POSITIVE, ScoredBinarySet,
-                             _BLOCK_ROWS, _check_probabilities, binarize, confusion_from_labels,
-                             confusion_from_scores, load_paired_csv,
+                             _BLOCK_ROWS, _check_probabilities, _real_column, binarize,
+                             confusion_from_labels, confusion_from_scores, load_paired_csv,
                              load_scored_csv)
 from modeval.errors import (DataError, EmptyInputError, MetricsError, SchemaError,
                             UsageError)
+from modeval.gp_fitness import ClassOutputs
 from modeval.regression import METRIC_IDS, regression_report
 
 
@@ -272,6 +276,80 @@ class TestContainerChecks:
         # 1 == True and 0 == False, so a check by == or by count(True) would let these in
         with pytest.raises(DataError, match="label must be"):
             ScoredBinarySet(bad, [0.1, 0.2])
+
+
+# Each numeric field of a value type, built with ``bad`` as the value at the
+# field index named. A two-column type gets a partner column one value short,
+# so a bad value is also shown to be named before a length mismatch.
+_NUMERIC_FIELDS = {
+    "actual[1]": lambda bad: PairedSeries([1.0, bad], [1.0]),
+    "predicted[1]": lambda bad: PairedSeries([1.0], [1.0, bad]),
+    "scores[1]": lambda bad: ScoredBinarySet([True], [0.5, bad]),
+    "minority[1]": lambda bad: ClassOutputs([1.0, bad], [-1.0]),
+    "majority[1]": lambda bad: ClassOutputs([1.0], [-1.0, bad]),
+    "rows[1][0]": lambda bad: ProbabilityMatrix(((0.5, 0.5), (bad, 0.5)), (0,)),
+}
+
+# Each bad value, and how the rule names it after the field and index.
+_NOT_REAL = [
+    ("1", r"is not a real number: '1'"),
+    (b"1", r"is not a real number: b'1'"),
+    (True, r"is not a real number: True"),
+    (None, r"is not a real number: None"),
+    (10 ** 400, r"is an int too large for a double \(1329 bits\)"),
+    (math.nan, r"is not finite: nan"),
+]
+_NOT_REAL_IDS = ["str", "bytes", "bool", "None", "huge_int", "nan"]
+
+# Each scalar parameter, called with ``bad`` on valid data.
+_SCALAR_PARAMETERS = {
+    "threshold": lambda bad: confusion_from_scores(ScoredBinarySet([True], [0.5]), bad),
+    "beta": lambda bad: f_beta(ConfusionMatrix2(1, 1, 1, 1), bad),
+    "weight": lambda bad: average_class_accuracy(ConfusionMatrix2(1, 1, 1, 1), bad),
+    "fraction": lambda bad: lift(ScoredBinarySet([True, False], [0.9, 0.1]), bad),
+}
+
+
+class TestRealNumberRule:
+    @pytest.mark.parametrize("bad, problem", _NOT_REAL, ids=_NOT_REAL_IDS)
+    @pytest.mark.parametrize("field", _NUMERIC_FIELDS)
+    def test_every_numeric_field_names_its_first_bad_value(self, field, bad, problem):
+        with pytest.raises(DataError, match=rf"^{re.escape(field)} {problem}$"):
+            _NUMERIC_FIELDS[field](bad)
+
+    @pytest.mark.parametrize("bad, problem", [*_NOT_REAL, (math.inf, r"is not finite: inf")],
+                             ids=[*_NOT_REAL_IDS, "inf"])
+    @pytest.mark.parametrize("name", _SCALAR_PARAMETERS)
+    def test_every_scalar_parameter_is_a_real_number(self, name, bad, problem):
+        with pytest.raises(UsageError, match=rf"^{name} {problem}$"):
+            _SCALAR_PARAMETERS[name](bad)
+
+    def test_the_first_bad_value_is_named_whatever_its_kind(self):
+        with pytest.raises(DataError, match=r"^actual\[0\] is not a real number: '1'$"):
+            PairedSeries(["1", True], [2, "3"])
+        with pytest.raises(DataError, match=r"^predicted\[1\] is not finite: nan$"):
+            PairedSeries([1, 2], (v for v in [0.5, math.nan, "x"]))
+        with pytest.raises(DataError, match=r"^scores\[1\] is an int too large"):
+            ScoredBinarySet([True, False, True], [1, -(10 ** 400), math.inf])
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], array("d", [1e308, 1e308]),
+                                        [float.fromhex("0x1p-1074"), type("F", (float,), {})(2.5)],
+                                        [2 ** 1023, 2 ** 1023]],
+                             ids=["overflowing_sum", "overflowing_sum_array", "float_subclass",
+                                  "overflowing_int_sum"])
+    def test_finite_values_that_take_the_scan_still_load(self, values):
+        # a sum that overflows, or a subclass of float, sends a valid column to the scan
+        assert PairedSeries(values, values).actual.tolist() == [float(v) for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-(2 ** 1000), 2 ** 1000),
+                              st.sampled_from([2 ** 53 + 1, -(2 ** 63) - 1, -0.0, 5e-324]),
+                              st.floats(allow_nan=False, allow_infinity=False)), max_size=40),
+           st.sampled_from([list, tuple, iter, lambda v: array("d", v)]))
+    def test_valid_values_keep_their_bits(self, values, container):
+        column = _real_column(container(values), "values")
+        assert column.typecode == "d"
+        assert column.tobytes() == array("d", map(float, values)).tobytes()
 
 
 def _quoted(cell, force):

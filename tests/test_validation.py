@@ -235,11 +235,17 @@ class TestReferenceIndex:
             reference_index_from_metrics(["only"], [(1, 2, 3)])
 
     @pytest.mark.parametrize("bad", [(3, 4), (3, 4, 5, 6), (3, 4, math.inf),
-                                     (math.nan, 4, 5), (-1e308, 4, 5)],
-                             ids=["short", "long", "inf", "nan", "negative"])
+                                     (math.nan, 4, 5), (-1e308, 4, 5), ("1", "2", "3"),
+                                     (True, 1, 1), (None, 4, 5), (10 ** 400, 4, 5)],
+                             ids=["short", "long", "inf", "nan", "negative", "str", "bool",
+                                  "None", "huge_int"])
     def test_triple_must_be_three_finite_non_negative_numbers(self, bad):
         with pytest.raises(DataError, match=r"^model 'b': \(RMSE, MAE, MAPE\) must be"):
             reference_index_from_metrics(["a", "b"], [(1e308, 2, 3), bad])
+
+    def test_the_first_model_with_a_bad_triple_is_named(self):
+        with pytest.raises(DataError, match=r"^model 'a': .* got \('1', '2', '3'\)$"):
+            reference_index_from_metrics(["a", "b"], [("1", "2", "3"), (True, 1, 1)])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(UsageError):
