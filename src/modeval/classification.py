@@ -25,7 +25,7 @@ from operator import add, sub, truediv
 
 from .dataset import (NEGATIVE, POSITIVE, ConfusionMatrix2, ConfusionMatrixK, Metric,
                       MetricValue, PairedSeries, ScoredBinarySet, _check_probabilities,
-                      _Frozen, _real, _real_column)
+                      _Frozen, _real, _real_column, _repr)
 from .errors import DataError, UsageError
 
 CLAMP_EPSILON = 1e-15
@@ -38,7 +38,7 @@ class RateSet(namedtuple("RateSet", "tpr tnr ppv npv fpr fnr fdr for_rate")):
     __slots__ = ()
 
 
-def _rate(metric_id: str, numerator: int, denominator: int) -> MetricValue:
+def _rate(metric_id: str, numerator: float, denominator: float) -> MetricValue:
     if denominator == 0:
         return MetricValue.undefined(metric_id, "zero_denominator")
     return MetricValue.defined(metric_id, numerator / denominator)
@@ -70,9 +70,7 @@ def _likelihood_ratios(r: RateSet):
     def ratio(metric_id, num, den):
         if not (num.is_defined and den.is_defined):
             return MetricValue.undefined(metric_id, "undefined_component")
-        if den.value == 0:
-            return MetricValue.undefined(metric_id, "zero_denominator")
-        return MetricValue.defined(metric_id, num.value / den.value)
+        return _rate(metric_id, num.value, den.value)
 
     lr_plus = ratio("LR_PLUS", r.tpr, r.fpr)
     lr_minus = ratio("LR_MINUS", r.fnr, r.tnr)
@@ -210,7 +208,7 @@ class ProbabilityMatrix(_Frozen):
         for i, c in enumerate(true_class):
             # a scored set's bool labels are int classes (False is 0, True is 1); 0.9 is none
             if not isinstance(c, int) or not 0 <= c < width:
-                raise DataError(f"true_class[{i}] = {c!r} is not an integer in 0..{width - 1}")
+                raise DataError(f"true_class[{i}] = {_repr(c)} is not an integer in 0..{width - 1}")
         self._set(rows, tuple(map(int, true_class)))
 
     def __len__(self) -> int:

@@ -177,11 +177,20 @@ def evaluate(table: dict, ctx, ids=None, family: str = "") -> dict:
         raise OverflowError(exc) from exc
 
 
+def _repr(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), or a container of one
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+        return f"({', '.join(map(_repr, value))}{',' if len(value) == 1 else ''})"
+
+
 def _not_real(value) -> str | None:
     """Why ``value`` is no real number, or None if it is one: an int or a
     float, not a bool, that is finite as a double."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return f"is not a real number: {value!r}"
+        return f"is not a real number: {_repr(value)}"
     try:
         return None if math.isfinite(value) else f"is not finite: {value!r}"
     except OverflowError:  # an int too large for a double; its repr may pass the digit limit
@@ -331,7 +340,7 @@ def _check_counts(named_counts) -> None:
     # a bool is an int but no count, and 1.9, 1.0 or "3" is no count either
     for name, v in named_counts:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise DataError(f"{name} must be a non-negative integer, got {v!r}")
+            raise DataError(f"{name} must be a non-negative integer, got {_repr(v)}")
 
 
 class ConfusionMatrix2(_Frozen):

@@ -46,9 +46,9 @@ class SeriesContext:
 
     Each statistic is computed on first use and kept, so a report pays only
     for what its requested ids need and never computes one twice. Besides
-    ``e`` and ``abs_e`` no statistic keeps n values: sums over per-term
-    ratios stream from maps and keep only the sum. Those two are unboxed
-    ``array("d")`` columns, 8 bytes per value, holding the same floats.
+    ``e``, an unboxed ``array("d")`` column of 8 bytes per value, no
+    statistic keeps n values: sums over |E_i| and per-term ratios stream
+    from maps and keep only the sum.
     """
 
     def __init__(self, data: PairedSeries, skip_undefined_terms: bool = False):
@@ -59,10 +59,6 @@ class SeriesContext:
     @cached_property
     def e(self) -> array:
         return array("d", map(sub, self.a, self.p))
-
-    @cached_property
-    def abs_e(self) -> array:
-        return array("d", map(abs, self.e))
 
     @cached_property
     def a_mean(self) -> float:
@@ -78,7 +74,7 @@ class SeriesContext:
 
     @cached_property
     def sum_abs_e(self) -> float:
-        return fsum(self.abs_e)
+        return fsum(map(abs, self.e))
 
     @cached_property
     def s_aa(self) -> float:
@@ -113,8 +109,7 @@ class SeriesContext:
         return self.a.count(0.0)
 
     def _ratios(self):
-        # E_i / A_i over the nonzero A_i: compress and filter keep the same rows
-        return map(truediv, compress(self.e, self.a), filter(None, self.a))
+        return _quotients(self.e, lambda: self.a)
 
     @cached_property
     def ratio_sum(self) -> float:
@@ -130,11 +125,15 @@ class SeriesContext:
 
     @cached_property
     def geo_mean_abs(self) -> float:
-        # Log-domain product to dodge overflow/underflow; a single exact-zero
-        # residual pins the geometric mean at zero.
-        if 0.0 in self.abs_e:
+        # log domain dodges over/underflow; an exact-zero residual (-0.0 too) gives 0
+        if 0.0 in self.e:
             return 0.0
-        return math.exp(fsum(map(math.log, self.abs_e)) / self.n)
+        return math.exp(fsum(map(math.log, map(abs, self.e))) / self.n)
+
+
+def _quotients(numerators, denominators):
+    """n_i / d_i over the d_i != 0; ``denominators()`` gives each pass its own iterator."""
+    return map(truediv, compress(numerators, denominators()), filter(None, denominators()))
 
 
 def _term_mean(ctx, metric_id, reason, bad, total, scale=lambda mean: mean):
@@ -162,27 +161,20 @@ def _percent(mean):
     return 100.0 * mean
 
 
-def _over_nonzero(numerators, denominators):
-    """sum(n_i / d_i) over the terms whose d_i != 0; ``denominators`` makes a
-    fresh iterator on each call, so no list of them is ever held."""
-    return fsum(map(truediv, compress(numerators, denominators()),
-                    filter(None, denominators())))
-
-
 def _mrae(c):
     # |A_i - m| == 0 exactly when A_i == m: a float difference is never 0 otherwise
     m = c.a_mean
     return _term_mean(c, "MRAE", "constant_actual", c.a.count(m),
-                      lambda: _over_nonzero(c.abs_e,
-                                            lambda: map(abs, map(sub, c.a, repeat(m)))))
+                      lambda: fsum(_quotients(map(abs, c.e),
+                                              lambda: map(abs, map(sub, c.a, repeat(m))))))
 
 
 def _fae(c):
     # |A_i| + |P_i| == 0 exactly when both are zero
     zero_pairs = sum(map(not_, compress(c.p, map(not_, c.a))))
     return _term_mean(c, "FAE", "zero_pair", zero_pairs,
-                      lambda: _over_nonzero(map(mul, repeat(2.0), c.abs_e),
-                                            lambda: map(add, map(abs, c.a), map(abs, c.p))))
+                      lambda: fsum(_quotients(map(mul, repeat(2.0), map(abs, c.e)),
+                                              lambda: map(add, map(abs, c.a), map(abs, c.p)))))
 
 
 def _unless_zero(metric_id, statistic, reason, finish):

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from math import fsum
 
-from .dataset import Metric, MetricValue, PairedSeries, _not_real
+from .dataset import Metric, MetricValue, PairedSeries, _not_real, _repr
 from .errors import DataError, DefinednessError, UsageError
 from .regression import METRICS, SeriesContext
 
@@ -132,11 +132,11 @@ def data_adequacy_ratio(observation_count: int, parameter_count: int) -> float:
     for name, count in (("observation", observation_count), ("parameter", parameter_count)):
         # a bool is an int but no count, and 10.9 or "7" is no count either
         if not isinstance(count, int) or isinstance(count, bool):
-            raise UsageError(f"{name} count must be an integer, got {count!r}")
+            raise UsageError(f"{name} count must be an integer, got {_repr(count)}")
     if parameter_count < 1:
-        raise UsageError(f"parameter count must be >= 1, got {parameter_count}")
+        raise UsageError(f"parameter count must be >= 1, got {_repr(parameter_count)}")
     if observation_count < 0:
-        raise UsageError(f"observation count must be >= 0, got {observation_count}")
+        raise UsageError(f"observation count must be >= 0, got {_repr(observation_count)}")
     return observation_count / parameter_count
 
 
@@ -195,7 +195,7 @@ def reference_index_from_metrics(model_ids, triples) -> RiRanking:
         # a negative error would let a column's range overflow to inf and its ri be NaN
         if len(triple) != 3 or any(map(_not_real, triple)) or min(triple) < 0:
             raise DataError(f"model {model_id!r}: (RMSE, MAE, MAPE) must be three "
-                            f"finite non-negative numbers, got {triple}")
+                            f"finite non-negative numbers, got {_repr(triple)}")
     normalized = {}
     tied = []
     for j, name in enumerate(("RMSE", "MAE", "MAPE")):

@@ -3,6 +3,7 @@ import io
 import math
 import random
 import re
+import sys
 import tracemalloc
 from array import array
 
@@ -22,6 +23,7 @@ from modeval.errors import (DataError, EmptyInputError, MetricsError, SchemaErro
                             UsageError)
 from modeval.gp_fitness import ClassOutputs
 from modeval.regression import METRIC_IDS, regression_report
+from modeval.validation import data_adequacy_ratio, reference_index_from_metrics
 
 
 class TestPairedSeries:
@@ -310,6 +312,20 @@ _SCALAR_PARAMETERS = {
 }
 
 
+_HUGE = 10 ** 5000  # 16610 bits, past the default limit of 4300 digits
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    # the repr of an int past this limit raises ValueError (Python 3.10.7 and later)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts an int of any length to str")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 class TestRealNumberRule:
     @pytest.mark.parametrize("bad, problem", _NOT_REAL, ids=_NOT_REAL_IDS)
     @pytest.mark.parametrize("field", _NUMERIC_FIELDS)
@@ -331,6 +347,25 @@ class TestRealNumberRule:
             PairedSeries([1, 2], (v for v in [0.5, math.nan, "x"]))
         with pytest.raises(DataError, match=r"^scores\[1\] is an int too large"):
             ScoredBinarySet([True, False, True], [1, -(10 ** 400), math.inf])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: reference_index_from_metrics(["a", "b"], [(1, 2, 3), (_HUGE, 1, 1)]), DataError,
+         r"model 'b': \(RMSE, MAE, MAPE\) must be three finite non-negative numbers, "
+         r"got \(<int of 16610 bits>, 1, 1\)"),
+        (lambda: ConfusionMatrix2(-_HUGE, 1, 1, 1), DataError,
+         r"tp must be a non-negative integer, got -<int of 16610 bits>"),
+        (lambda: ProbabilityMatrix([(0.5, 0.5)], [_HUGE]), DataError,
+         r"true_class\[0\] = <int of 16610 bits> is not an integer in 0\.\.1"),
+        (lambda: data_adequacy_ratio(-_HUGE, 1), UsageError,
+         r"observation count must be >= 0, got -<int of 16610 bits>"),
+        (lambda: data_adequacy_ratio(1, -_HUGE), UsageError,
+         r"parameter count must be >= 1, got -<int of 16610 bits>"),
+    ], ids=["ri_triple", "confusion_count", "true_class", "observation_count",
+            "parameter_count"])
+    def test_an_int_past_the_digit_limit_shows_its_bit_length(
+            self, default_int_digit_limit, call, error, message):
+        with pytest.raises(error, match=rf"^{message}$"):
+            call()
 
     @pytest.mark.parametrize("values", [[1e308, 1e308], array("d", [1e308, 1e308]),
                                         [float.fromhex("0x1p-1074"), type("F", (float,), {})(2.5)],
@@ -613,12 +648,12 @@ class TestLoaderMemory:
         assert left < 1.2 * (2 * len(container) * 8)
 
     def test_regression_report_peak(self):
-        # the cached residuals and their absolute values are the only n-item
-        # temporaries: two unboxed columns of n doubles, 8 bytes per item;
-        # boxed floats in tuples take 32 and peak near 4.1x this bound's base
+        # the cached residuals are the only n-item temporary: one unboxed
+        # column of n doubles, 8 bytes per item; boxed floats in tuples take
+        # 32, and a second cached column such as |E| peaks near 2.2x this base
         series = load_paired_csv(self._paired_data(), "actual", "predicted", ordered=True)
         peak = self._peak(regression_report, series, METRIC_IDS, skip_undefined_terms=True)
-        assert peak < 1.2 * (2 * len(series) * 8)
+        assert peak < 1.3 * (len(series) * 8)
 
 
 class TestConfusionFromScores:

@@ -359,6 +359,10 @@ class GeneratorContext(SeriesContext):
         return tuple(abs(ei) for ei in self.e)
 
     @cached_property
+    def sum_abs_e(self):
+        return fsum(abs(ei) for ei in self.e)
+
+    @cached_property
     def sse(self):
         return fsum(ei * ei for ei in self.e)
 
