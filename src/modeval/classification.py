@@ -100,6 +100,9 @@ def f_beta(matrix: ConfusionMatrix2, beta: float) -> MetricValue:
     if tp == 0 and fp > 0 and fn > 0:
         return MetricValue.undefined(metric_id, "zero_precision_recall")
     b2 = beta * beta
+    if math.isinf((1.0 + b2) * tp):  # divided through by b^2; at b^2 = inf it is the recall
+        r = 1.0 / b2
+        return MetricValue.defined(metric_id, (1.0 + r) * tp / ((1.0 + r) * tp + fn + r * fp))
     return MetricValue.defined(metric_id, (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp))
 
 
@@ -108,7 +111,12 @@ def mcc(matrix: ConfusionMatrix2) -> MetricValue:
     product = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if product == 0:
         return MetricValue.undefined("MCC", "zero_denominator")
-    value = (tp * tn - fp * fn) / math.sqrt(product)
+    numerator = tp * tn - fp * fn
+    try:
+        value = numerator / math.sqrt(product)
+    except OverflowError:  # a product past a double: divide exact ints, numerator^2 <= product
+        value = math.sqrt(numerator * numerator / product)
+        value = -value if numerator < 0 else value
     return MetricValue.defined("MCC", max(-1.0, min(1.0, value)))
 
 

@@ -27,10 +27,12 @@ header.
 Both loaders read through one private reader, ``_load``. It streams the
 records and hands the loader's ``keep`` function a block of rows at a time, as
 columns of cells; ``keep`` converts a whole block with C-level builtins and
-stores its values, or rejects the block. Only a rejected block is split, in
-halves, down to its bad rows. ``_load`` alone names a rejected row's first bad
-cell, drops the row under ``drop_bad_rows`` and counts it, and turns a csv or
-UTF-8 error into a DataError.
+stores its values when each numeric column's sum is finite, ``_real_column``'s
+test, or rejects the block. Only a rejected block is split, in halves, down to
+its bad rows, so a block whose finite values overflow a sum splits down to rows
+that each load. ``_load`` alone names a rejected row's first bad cell, drops
+the row under ``drop_bad_rows`` and counts it, and turns a csv or UTF-8 error
+into a DataError.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -186,6 +188,15 @@ def _repr(value) -> str:
         return f"({', '.join(map(_repr, value))}{',' if len(value) == 1 else ''})"
 
 
+def _text(value, what: str) -> str:
+    """``str(value)``; a value that str() cannot render, such as an int past
+    the digit limit, is a DataError naming it as ``what``."""
+    try:
+        return str(value)
+    except ValueError:
+        raise DataError(f"{what} {_repr(value)} cannot be rendered as text") from None
+
+
 def _not_real(value) -> str | None:
     """Why ``value`` is no real number, or None if it is one: an int or a
     float, not a bool, that is finite as a double."""
@@ -267,7 +278,7 @@ def _coerce_label(label):
         return label
     if label in (POSITIVE, NEGATIVE):
         return label == POSITIVE
-    raise DataError(f"label must be {POSITIVE!r}/{NEGATIVE!r} or a bool, got {label!r}")
+    raise DataError(f"label must be {POSITIVE!r}/{NEGATIVE!r} or a bool, got {_repr(label)}")
 
 
 class Ranking(namedtuple("Ranking", "scores cum_positives ends thresholds")):
@@ -369,7 +380,7 @@ class ConfusionMatrixK(_Frozen):
     counts: tuple[tuple[int, ...], ...]
 
     def __init__(self, classes, counts):
-        classes = tuple(str(c) for c in classes)
+        classes = tuple(_text(c, "class") for c in classes)
         counts = tuple(map(tuple, counts))
         if len(classes) < 2:
             raise SchemaError("a class confusion table needs at least 2 classes")
@@ -399,7 +410,7 @@ class ConfusionMatrixK(_Frozen):
 
     def index(self, class_id) -> int:
         try:
-            return self.classes.index(str(class_id))
+            return self.classes.index(_text(class_id, "class"))
         except ValueError:
             raise SchemaError(f"unknown class {class_id!r}; classes are {self.classes}") from None
 
@@ -549,7 +560,7 @@ def load_paired_csv(source, actual_column: str, predicted_column: str,
 
     def keep(a_cells, p_cells):
         a, p = list(map(float, a_cells)), list(map(float, p_cells))
-        if not (all(map(math.isfinite, a)) and all(map(math.isfinite, p))):
+        if not (math.isfinite(sum(a)) and math.isfinite(sum(p))):
             raise ValueError
         actual.fromlist(a)
         predicted.fromlist(p)
@@ -577,7 +588,7 @@ def load_scored_csv(source, label_column: str, score_column: str,
 
     def keep(label_cells, score_cells):
         raw, block = list(label_cells), list(map(float, score_cells))
-        if not all(map(math.isfinite, block)):
+        if not math.isfinite(sum(block)):
             raise ValueError
         distinct.update(raw)
         labels.extend(map(is_positive, raw, repeat(False)))
@@ -630,8 +641,8 @@ def confusion_from_labels(actual, predicted) -> ConfusionMatrixK:
     The class set is the union of values seen, sorted lexicographically, so
     repeated runs on the same data index identically.
     """
-    actual = [str(a) for a in actual]
-    predicted = [str(p) for p in predicted]
+    actual = [_text(a, "label") for a in actual]
+    predicted = [_text(p, "label") for p in predicted]
     if len(actual) != len(predicted):
         raise DataError(f"{len(actual)} actual labels but {len(predicted)} predicted")
     if not actual:

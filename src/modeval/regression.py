@@ -109,7 +109,7 @@ class SeriesContext:
         return self.a.count(0.0)
 
     def _ratios(self):
-        return _quotients(self.e, lambda: self.a)
+        return _quotients(self.e, self.a)
 
     @cached_property
     def ratio_sum(self) -> float:
@@ -125,15 +125,16 @@ class SeriesContext:
 
     @cached_property
     def geo_mean_abs(self) -> float:
-        # log domain dodges over/underflow; an exact-zero residual (-0.0 too) gives 0
-        if 0.0 in self.e:
+        try:  # log domain dodges over/underflow; log raises at a zero residual (-0.0 too)
+            return math.exp(fsum(map(math.log, map(abs, self.e))) / self.n)
+        except ValueError:  # so the geometric mean is 0
             return 0.0
-        return math.exp(fsum(map(math.log, map(abs, self.e))) / self.n)
 
 
 def _quotients(numerators, denominators):
-    """n_i / d_i over the d_i != 0; ``denominators()`` gives each pass its own iterator."""
-    return map(truediv, compress(numerators, denominators()), filter(None, denominators()))
+    """n_i / d_i over the d_i != 0, in one pass over each iterable."""
+    selector, divisors = tee(denominators)
+    return map(truediv, compress(numerators, selector), filter(None, divisors))
 
 
 def _term_mean(ctx, metric_id, reason, bad, total, scale=lambda mean: mean):
@@ -166,7 +167,7 @@ def _mrae(c):
     m = c.a_mean
     return _term_mean(c, "MRAE", "constant_actual", c.a.count(m),
                       lambda: fsum(_quotients(map(abs, c.e),
-                                              lambda: map(abs, map(sub, c.a, repeat(m))))))
+                                              map(abs, map(sub, c.a, repeat(m))))))
 
 
 def _fae(c):
@@ -174,7 +175,7 @@ def _fae(c):
     zero_pairs = sum(map(not_, compress(c.p, map(not_, c.a))))
     return _term_mean(c, "FAE", "zero_pair", zero_pairs,
                       lambda: fsum(_quotients(map(mul, repeat(2.0), map(abs, c.e)),
-                                              lambda: map(add, map(abs, c.a), map(abs, c.p)))))
+                                              map(add, map(abs, c.a), map(abs, c.p)))))
 
 
 def _unless_zero(metric_id, statistic, reason, finish):

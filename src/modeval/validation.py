@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from math import fsum
 
-from .dataset import Metric, MetricValue, PairedSeries, _not_real, _repr
+from .dataset import Metric, MetricValue, PairedSeries, _not_real, _repr, _text, evaluate
 from .errors import DataError, DefinednessError, UsageError
 from .regression import METRICS, SeriesContext
 
@@ -36,6 +36,9 @@ SLOPE_RANGE = (0.85, 1.15)
 INDEX_LIMIT = 0.1
 RM_THRESHOLD = 0.5
 ADEQUACY_RANGE = (3.0, 5.0)
+
+# the reference index's error metrics, in the order their definedness is checked
+_ERRORS = {metric_id: METRICS[metric_id] for metric_id in ("RMSE", "MAE", "MAPE")}
 
 
 class TropshaReport(namedtuple("TropshaReport", "r2 k k_prime ro2 ro2_prime m_index n_index "
@@ -150,8 +153,7 @@ def adequacy_verdict(ratio: float) -> str:
 
 def _split_terms(series: PairedSeries):
     ctx = SeriesContext(series)
-    rmse = METRICS["RMSE"].fn(ctx).value
-    mae = METRICS["MAE"].fn(ctx).value
+    rmse, mae = (mv.value for mv in evaluate(_ERRORS, ctx, ("RMSE", "MAE")).values())
     r2 = _squared_pearson(ctx)
     if r2 == 0:
         raise DefinednessError("squared correlation is zero; objective undefined")
@@ -183,7 +185,7 @@ def reference_index_from_metrics(model_ids, triples) -> RiRanking:
     non-negative numbers, or a DataError names the model. Zero-range columns
     normalize to 0 for every model and are reported in ``tied_columns``.
     """
-    model_ids = tuple(str(m) for m in model_ids)
+    model_ids = tuple(_text(m, "model id") for m in model_ids)
     triples = [tuple(t) for t in triples]
     if len(model_ids) != len(triples):
         raise UsageError(f"{len(model_ids)} model ids but {len(triples)} metric triples")
@@ -214,16 +216,12 @@ def reference_index(models) -> RiRanking:
     """Evaluate RMSE/MAE/MAPE per (model_id, PairedSeries) pair and rank them."""
     ids, triples = [], []
     for model_id, series in models:
-        ctx = SeriesContext(series)
-        triple = []
-        for metric_id in ("RMSE", "MAE", "MAPE"):
-            mv = METRICS[metric_id].fn(ctx)
+        values = evaluate(_ERRORS, SeriesContext(series)).values()
+        for mv in values:
             if not mv.is_defined:
-                raise DefinednessError(
-                    f"model {model_id!r}: {metric_id} undefined ({mv.reason})")
-            triple.append(mv.value)
-        ids.append(str(model_id))
-        triples.append(tuple(triple))
+                raise DefinednessError(f"model {_repr(model_id)}: {mv.id} undefined ({mv.reason})")
+        ids.append(model_id)  # reference_index_from_metrics turns it into text
+        triples.append(tuple(mv.value for mv in values))
     return reference_index_from_metrics(ids, triples)
 
 

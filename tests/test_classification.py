@@ -122,6 +122,32 @@ class TestAccuracyAndF:
         if mv.is_defined:
             assert mv.value == (2 * m.tp) / (2 * m.tp + m.fp + m.fn)
 
+    @pytest.mark.parametrize("matrix, beta, value", [
+        (ConfusionMatrix2(1, 1, 1, 1), 1e200, 0.5),  # the recall
+        (ConfusionMatrix2(10 ** 10, 1, 1, 1), 1e150, 10 ** 10 / (10 ** 10 + 1)),
+        (ConfusionMatrix2(10 ** 10, 10 ** 300, 0, 1), 1e150, 10 ** 10 / (10 ** 10 + 1)),
+        (ConfusionMatrix2(5 * 10 ** 307, 1, 1, 1), 2.0, 1.0),
+    ])
+    def test_a_weighted_count_past_a_double_is_divided_by_b2(self, matrix, beta, value):
+        # (1 + b^2) TP overflows: the count form would divide inf by inf
+        assert f_beta(matrix, beta).value == value
+
+    def test_the_count_form_holds_up_to_the_overflow(self):
+        # (1 + b^2) TP is finite, (2 + b^2) TP is not, and the divided form rounds differently
+        matrix = ConfusionMatrix2(43 * 10 ** 306, 0, 10 ** 305, 1)
+        assert f_beta(matrix, 1.5).value == 0.9983925701018039
+
+    @settings(max_examples=200)
+    @given(st.tuples(*[st.integers(0, 2 ** 60)] * 4).filter(any),
+           st.floats(1e-150, 1e150))
+    def test_a_finite_weighted_count_keeps_the_count_form(self, counts, beta):
+        mv = f_beta(ConfusionMatrix2(*counts), beta)
+        tp, fp, fn, _ = counts
+        if mv.is_defined:
+            b2 = beta * beta
+            count_form = (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp)
+            assert mv.value == count_form or not math.isfinite(count_form)
+
 
 class TestMcc:
     def test_c1_value(self, c1):
@@ -141,6 +167,26 @@ class TestMcc:
             assert -1.0 <= mv.value <= 1.0
             swapped = mcc(ConfusionMatrix2(tp=m.tn, fp=m.fn, fn=m.fp, tn=m.tp))
             assert swapped.value == pytest.approx(mv.value, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("counts, value", [
+        ((10 ** 200, 10 ** 200, 1, 1), 0.0),
+        ((10 ** 200, 1, 1, 10 ** 200), 1.0),
+        ((1, 10 ** 200, 10 ** 200, 1), -1.0),
+        ((3 * 10 ** 200, 10 ** 200, 10 ** 200, 3 * 10 ** 200), 0.5),
+        ((10 ** 200, 3 * 10 ** 200, 3 * 10 ** 200, 10 ** 200), -0.5),
+    ])
+    def test_a_product_past_a_double_stays_in_exact_ints(self, counts, value):
+        # repr tells 0.0 from -0.0
+        assert repr(mcc(ConfusionMatrix2(*counts)).value) == repr(value)
+
+    @settings(max_examples=200)
+    @given(st.tuples(*[st.integers(0, 2 ** 60)] * 4).filter(any))
+    def test_a_product_that_fits_a_double_keeps_its_bits(self, counts):
+        mv = mcc(ConfusionMatrix2(*counts))
+        tp, fp, fn, tn = counts
+        product = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+        if mv.is_defined:
+            assert mv.value == max(-1.0, min(1.0, (tp * tn - fp * fn) / math.sqrt(product)))
 
 
 class TestInformednessMarkedness:

@@ -125,6 +125,17 @@ class TestRegress:
         assert code == 0
         assert any("dropped 1" in w for w in doc["warnings"])
 
+    @pytest.mark.parametrize("drop", [[], ["--drop-bad-rows"]], ids=["strict", "drop"])
+    def test_finite_cells_that_overflow_a_sum_all_load(self, capsys, tmp_path, drop):
+        path = tmp_path / "overflowing.csv"
+        path.write_text("a,p\n1e308,1e308\n1.7e308,1.7e308\n-1e308,5\n")
+        code, doc = run_json(capsys, "regress", "--input", str(path), "--actual-col", "a",
+                             "--predicted-col", "p", "--metrics", "MAE,ME", *drop)
+        assert code == 0 and doc["warnings"] == []
+        values = metric_map(doc)
+        assert values["MAE"]["value"] == 3.333333333333333e+307
+        assert values["ME"]["value"] == -3.333333333333333e+307
+
     def test_table_format_smoke(self, capsys):
         code, out, _ = run_cli(capsys, "regress", "--input",
                                str(FIXTURES / "f1.csv"), "--actual-col", "a",

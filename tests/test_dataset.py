@@ -23,7 +23,8 @@ from modeval.errors import (DataError, EmptyInputError, MetricsError, SchemaErro
                             UsageError)
 from modeval.gp_fitness import ClassOutputs
 from modeval.regression import METRIC_IDS, regression_report
-from modeval.validation import data_adequacy_ratio, reference_index_from_metrics
+from modeval.validation import (data_adequacy_ratio, reference_index,
+                                reference_index_from_metrics)
 
 
 class TestPairedSeries:
@@ -110,6 +111,17 @@ class TestLoadPairedCsv:
     def test_drop_bad_rows_everything_gone(self):
         with pytest.raises(EmptyInputError):
             load_paired_csv(b"a,p\nx,1", "a", "p", drop_bad_rows=True)
+
+    @pytest.mark.parametrize("drop_bad_rows", [False, True], ids=["strict", "drop"])
+    def test_finite_cells_that_overflow_a_sum_all_load(self, drop_bad_rows):
+        # each column's sum overflows, and so does the first row's a + p: a block
+        # is split down to rows, and each row's column sums are its own cells
+        warnings = []
+        s = load_paired_csv(b"a,p\n1e308,1e308\n1.7e308,1.7e308\n-1e308,5\n", "a", "p",
+                            drop_bad_rows=drop_bad_rows, warnings=warnings)
+        assert s.actual.tolist() == [1e308, 1.7e308, -1e308]
+        assert s.predicted.tolist() == [1e308, 1.7e308, 5.0]
+        assert warnings == []
 
 
 class TestByteOrderMark:
@@ -232,6 +244,14 @@ class TestLoadScoredCsv:
         with pytest.raises(DataError, match=r"row 1.*'s'"):
             load_scored_csv(b"y,s\npos,oops", "y", "s", "pos")
 
+    @pytest.mark.parametrize("drop_bad_rows", [False, True], ids=["strict", "drop"])
+    def test_a_block_of_scores_that_overflow_its_sum_loads(self, drop_bad_rows):
+        warnings = []
+        s = load_scored_csv(b"y,s\n" + b"pos,1e308\n" * (_BLOCK_ROWS + 1), "y", "s", "pos",
+                            drop_bad_rows=drop_bad_rows, warnings=warnings)
+        assert s.scores.tolist() == [1e308] * (_BLOCK_ROWS + 1)
+        assert warnings == []
+
 
 class TestContainerChecks:
     def test_first_non_finite_index_named(self):
@@ -262,6 +282,11 @@ class TestContainerChecks:
         with pytest.raises(DataError, match=r"scores\[1\] = 1.5 outside"):
             _check_probabilities(ScoredBinarySet([True] * 3, [0.5, 1.5, -1.0]).scores)
         _check_probabilities((0.0, -0.0, 1.0))
+        # one bound broken, the other kept: the fast min/max test must still fail
+        with pytest.raises(DataError, match=r"scores\[1\] = 1.5 outside"):
+            _check_probabilities((0.5, 1.5))
+        with pytest.raises(DataError, match=r"scores\[0\] = -0.5 outside"):
+            _check_probabilities((-0.5, 0.5))
 
     def test_bool_and_constant_labels_mix(self):
         data = ScoredBinarySet([True, NEGATIVE, False, POSITIVE], [0.1] * 4)
@@ -352,6 +377,9 @@ class TestRealNumberRule:
         (lambda: reference_index_from_metrics(["a", "b"], [(1, 2, 3), (_HUGE, 1, 1)]), DataError,
          r"model 'b': \(RMSE, MAE, MAPE\) must be three finite non-negative numbers, "
          r"got \(<int of 16610 bits>, 1, 1\)"),
+        (lambda: reference_index_from_metrics(["a", "b"], [(1, 2, 3), (_HUGE,)]), DataError,
+         r"model 'b': \(RMSE, MAE, MAPE\) must be three finite non-negative numbers, "
+         r"got \(<int of 16610 bits>,\)"),
         (lambda: ConfusionMatrix2(-_HUGE, 1, 1, 1), DataError,
          r"tp must be a non-negative integer, got -<int of 16610 bits>"),
         (lambda: ProbabilityMatrix([(0.5, 0.5)], [_HUGE]), DataError,
@@ -360,12 +388,41 @@ class TestRealNumberRule:
          r"observation count must be >= 0, got -<int of 16610 bits>"),
         (lambda: data_adequacy_ratio(1, -_HUGE), UsageError,
          r"parameter count must be >= 1, got -<int of 16610 bits>"),
-    ], ids=["ri_triple", "confusion_count", "true_class", "observation_count",
+    ], ids=["ri_triple", "ri_one_tuple", "confusion_count", "true_class", "observation_count",
             "parameter_count"])
     def test_an_int_past_the_digit_limit_shows_its_bit_length(
             self, default_int_digit_limit, call, error, message):
         with pytest.raises(error, match=rf"^{message}$"):
             call()
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: repr(ConfusionMatrix2(_HUGE, 1, 1, 1)),
+         "ConfusionMatrix2(tp=<int of 16610 bits>, fp=1, fn=1, tn=1)"),
+        (lambda: confusion_from_labels([_HUGE, 1], [1, 1]),
+         "label <int of 16610 bits> cannot be rendered as text"),
+        (lambda: ConfusionMatrixK([1, _HUGE], ((1, 0), (0, 1))),
+         "class <int of 16610 bits> cannot be rendered as text"),
+        (lambda: ConfusionMatrixK(("a", "b"), ((1, 0), (0, 1))).index(-_HUGE),
+         "class -<int of 16610 bits> cannot be rendered as text"),
+        (lambda: ScoredBinarySet([_HUGE], [0.5]),
+         "label must be 'positive'/'negative' or a bool, got <int of 16610 bits>"),
+        (lambda: reference_index_from_metrics([_HUGE, "b"], [(1, 1, 1), (2, 2, 2)]),
+         "model id <int of 16610 bits> cannot be rendered as text"),
+        (lambda: reference_index([(_HUGE, PairedSeries([1, 2], [1, 3])),
+                                  ("b", PairedSeries([1, 2], [2, 2]))]),
+         "model id <int of 16610 bits> cannot be rendered as text"),
+        (lambda: reference_index([(_HUGE, PairedSeries([0, 2], [1, 3])),
+                                  ("b", PairedSeries([1, 2], [2, 2]))]),
+         "model <int of 16610 bits>: MAPE undefined (zero_actual)"),
+    ], ids=["repr", "label", "class", "class_lookup", "scored_label", "ri_model_id",
+            "series_model_id", "undefined_model"])
+    def test_a_caller_value_becomes_text_through_repr(self, default_int_digit_limit, call, text):
+        # str() and repr() of such an int raise a raw ValueError
+        try:
+            shown = call()
+        except DataError as exc:
+            shown = str(exc)
+        assert shown == text
 
     @pytest.mark.parametrize("values", [[1e308, 1e308], array("d", [1e308, 1e308]),
                                         [float.fromhex("0x1p-1074"), type("F", (float,), {})(2.5)],

@@ -13,11 +13,15 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def _script(name, relative):
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracing():
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _script("tracing", "perfbench/tracing.py")
 
 
 def test_every_trace_target_resolves():
@@ -196,3 +200,34 @@ _MODULES = [path for path in sorted((ROOT / "src" / "modeval").glob("*.py"))
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_each_mutant_changes_one_token_of_the_source_text():
+    # tools/mutants.py edits bytes in place, so comments and layout outlive a mutant
+    tool = _script("mutants", "tools/mutants.py")
+    source = ("def f(a, b):  # a + b < 2\n"
+              "    x = (a +  # and\n"
+              "         b) * 2 if a < b <= 3 and b >= 0 else a ** -1.5\n"
+              "    x //= 2\n"
+              "    return x\n").encode()
+    lines = source.decode().splitlines()
+    found = []
+    for mutant in tool.mutants(Path("m.py"), source):
+        mutated = mutant.apply(source).decode().splitlines()
+        assert [i for i, (a, b) in enumerate(zip(lines, mutated)) if a != b] == [mutant.line - 1]
+        found.append((mutant.line, mutant.operator, mutated[mutant.line - 1].strip()))
+    assert found == [
+        (2, "+ -> -", "x = (a -  # and"),
+        (3, "* -> /", "b) / 2 if a < b <= 3 and b >= 0 else a ** -1.5"),
+        (3, "2 -> 3", "b) * 3 if a < b <= 3 and b >= 0 else a ** -1.5"),
+        (3, "< -> <=", "b) * 2 if a <= b <= 3 and b >= 0 else a ** -1.5"),
+        (3, "<= -> <", "b) * 2 if a < b < 3 and b >= 0 else a ** -1.5"),
+        (3, "3 -> 4", "b) * 2 if a < b <= 4 and b >= 0 else a ** -1.5"),
+        (3, "and -> or", "b) * 2 if a < b <= 3 or b >= 0 else a ** -1.5"),
+        (3, ">= -> >", "b) * 2 if a < b <= 3 and b > 0 else a ** -1.5"),
+        (3, "0 -> 1", "b) * 2 if a < b <= 3 and b >= 1 else a ** -1.5"),
+        (3, "** -> *", "b) * 2 if a < b <= 3 and b >= 0 else a * -1.5"),
+        (3, "1.5 -> 2.5", "b) * 2 if a < b <= 3 and b >= 0 else a ** -2.5"),
+        (4, "//= -> /=", "x /= 2"),
+        (4, "2 -> 3", "x //= 3"),
+    ]

@@ -7,7 +7,7 @@ import pytest
 
 from modeval.dataset import PairedSeries
 from modeval.errors import DataError, DefinednessError, UsageError
-from modeval.validation import (adequacy_verdict, data_adequacy_ratio,
+from modeval.validation import (SLOPE_RANGE, adequacy_verdict, data_adequacy_ratio,
                                 gandomi_objective, reference_index,
                                 reference_index_from_metrics, roy_rm,
                                 tropsha_criteria)
@@ -48,6 +48,19 @@ class TestTropsha:
         assert rep.k == pytest.approx(0.5, rel=1e-15)
         assert rep.k_prime == pytest.approx(2.0, rel=1e-15)
         assert not rep.pass_k
+
+    @pytest.mark.parametrize("actual, predicted", [
+        ([12, 5, 0, 0], [2, 2, 4, 4]),
+        ([0, 2, 13], [2, 4, 10]),
+        ([1, 13, 9, 3], [12, 11, 6, 4]),
+        ([7, 1, 3, 11], [10, 11, 9, 9]),
+    ], ids=["k_low", "k_high", "k_prime_low", "k_prime_high"])
+    def test_a_slope_on_the_range_boundary_passes(self, actual, predicted):
+        # integer sums are exact, so the slope is the double nearest 0.85 or 1.15,
+        # and the other slope lies outside the range
+        rep = tropsha_criteria(PairedSeries(actual, predicted))
+        assert SLOPE_RANGE.count(rep.k) + SLOPE_RANGE.count(rep.k_prime) == 1
+        assert rep.pass_k
 
     def test_shuffled_predictions_fail_overall(self):
         # documented fixture: actuals 1..20 against a seed-42 shuffle of themselves
@@ -155,6 +168,13 @@ class TestGandomiObjective:
         expected = (math.sqrt(0.75) + 0.75) / r2
         assert mv.value == pytest.approx(expected, rel=1e-12)
 
+    def test_unequal_split_sizes_weight_both_terms(self, f1):
+        # Nt = 4, Nv = 3; the holdout's residuals are (0, 0, -1) and its R2 is 27/28
+        holdout = PairedSeries([1, 2, 3], [1, 2, 4])
+        expected = ((1 / 7) * (math.sqrt(0.75) + 0.75) / float(Fraction(121, 135))
+                    + (6 / 7) * (math.sqrt(1 / 3) + 1 / 3) / float(Fraction(27, 28)))
+        assert gandomi_objective(f1, holdout).value == pytest.approx(expected, rel=1e-12)
+
     def test_f1_both_splits_frozen_value(self, f1):
         mv = gandomi_objective(f1, f1)
         assert mv.value == pytest.approx(1.803003549676853, rel=1e-12)
@@ -227,6 +247,16 @@ class TestReferenceIndex:
         broken = PairedSeries([0, 1, 2], [1, 2, 3])  # zero actual kills MAPE
         with pytest.raises(DefinednessError, match="bad_model"):
             reference_index([("fine", ok), ("bad_model", broken)])
+
+    @pytest.mark.parametrize("call", [
+        lambda big, ok: reference_index([("a", big), ("b", ok)]),
+        lambda big, ok: gandomi_objective(big, ok),
+    ], ids=["ri", "objective"])
+    def test_rmse_is_checked_before_mae(self, call):
+        # a residual that overflows to inf makes both sums infinite: RMSE is named first
+        big = PairedSeries([1e308, 1, 2], [-1e308, 1, 3])
+        with pytest.raises(DataError, match=r"^RMSE: a defined metric must carry a finite value$"):
+            call(big, PairedSeries([1, 2, 3], [1, 2, 4]))
 
     def test_needs_two_models(self):
         with pytest.raises(UsageError):
