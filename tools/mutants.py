@@ -1,7 +1,7 @@
 """A mutation check over the lines of ``src/modeval`` that a diff touches.
 
-    python tools/mutants.py --diff REV [--timeout S]
-    python tools/mutants.py --module NAME --sample K [--seed S] [--timeout S]
+    python tools/mutants.py --diff REV
+    python tools/mutants.py --module NAME --sample K [--seed S]
 
 ``--diff REV`` mutates only the lines that ``git diff -U0 REV -- src/modeval``
 adds or changes (the working tree against REV); ``--module`` draws ``K``
@@ -17,9 +17,9 @@ changes one thing in the source text and leaves every other byte alone:
 The repository is copied once into a temporary directory, and each mutant is
 written into that copy, never into the working tree. ``pytest -x -q`` then
 runs the mutated module's test files there, one process at a time, with a
-timeout. One JSON line per mutant names its file, line and operator and says
-whether the tests ``killed`` it, it ``survived`` them or it ran into the
-``timeout``; a summary line follows. Run it from any directory. The tool
+timeout of ``TIMEOUT`` seconds. One JSON line per mutant names its file, line
+and operator and says whether the tests ``killed`` it, it ``survived`` them or
+it ran into the ``timeout``; a summary line follows. Run it from any directory. The tool
 itself uses only the standard library; it runs git and pytest.
 """
 
@@ -52,6 +52,8 @@ TOKENS = {
     ast.Pow: "**", ast.Mod: "%", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
     ast.And: "and", ast.Or: "or",
 }
+
+TIMEOUT = 120.0  # seconds per pytest run
 
 # test files per module beyond tests/test_<module>.py; the golden reports run for every module
 EXTRA_TESTS = {"_stats": ["test_regression.py"], "dataset": ["test_value_types.py"]}
@@ -144,7 +146,7 @@ def test_files(path: Path) -> list[str]:
     return [str(Path("tests") / f) for f in (*own, *EXTRA_TESTS.get(name, ()), "test_golden.py")]
 
 
-def run(path: Path, source: bytes, copy: Path, timeout: float) -> str:
+def run(path: Path, source: bytes, copy: Path) -> str:
     """The verdict of ``path``'s tests in ``copy`` with ``source`` as that module."""
     target = copy / path
     original = target.read_bytes()
@@ -157,7 +159,7 @@ def run(path: Path, source: bytes, copy: Path, timeout: float) -> str:
                                  "no:cacheprovider", "-p", "_mutants_plugin",
                                  "--hypothesis-seed=0", *test_files(path)], cwd=copy, env=env,
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                                timeout=timeout)
+                                timeout=TIMEOUT)
         return "survived" if result.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -172,7 +174,6 @@ def main(argv=None) -> int:
     scope.add_argument("--module", help="sample mutants from src/modeval/MODULE.py")
     parser.add_argument("--sample", type=int, default=20, help="mutants drawn by --module")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
     args = parser.parse_args(argv)
 
     if args.diff:
@@ -190,12 +191,12 @@ def main(argv=None) -> int:
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks"))
         (copy / "_mutants_plugin.py").write_text(PLUGIN)
         for path in sorted({m.path for m in chosen}):  # the unmutated tests must pass
-            if run(path, (copy / path).read_bytes(), copy, args.timeout) != "survived":
+            if run(path, (copy / path).read_bytes(), copy) != "survived":
                 print(json.dumps({"file": str(path), "baseline": "failed"}))
                 return 1
         for mutant in chosen:
             source = mutant.apply((copy / mutant.path).read_bytes())
-            result = run(mutant.path, source, copy, args.timeout)
+            result = run(mutant.path, source, copy)
             tally[result] += 1
             print(json.dumps({"file": str(mutant.path), "line": mutant.line,
                               "operator": mutant.operator, "result": result}), flush=True)
