@@ -502,6 +502,38 @@ class TestDeterminism:
         json.loads(first_out)
 
 
+class TestUsageText:
+    """The help texts and usage errors, pinned byte for byte. 3.13 wraps the
+    subcommands' usage lines at other points, so they have a second snapshot."""
+
+    @pytest.mark.parametrize("name", ["modeval", "regress", "classify", "curves", "validate"])
+    def test_help_is_the_pinned_text(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ("-h",) if name == "modeval" else (name, "-h")
+        folder = FIXTURES / "help"
+        if sys.version_info >= (3, 13) and name != "modeval":
+            folder /= "3.13"
+        assert run_cli(capsys, *argv) == (0, (folder / f"{name}.txt").read_text(), "")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("bogus",), "argument command: invalid choice: 'bogus' "
+                     "(choose from 'regress', 'classify', 'curves', 'validate')"),
+        (("reg", "--input", "x"), "argument command: invalid choice: 'reg' "
+                                  "(choose from 'regress', 'classify', 'curves', 'validate')"),
+        (("regress", "--input", "x"),
+         "the following arguments are required: --actual-col, --predicted-col"),
+        (("curves", "--input", "x", "--label-col", "l", "--score-col", "s", "--positive", "p"),
+         "the following arguments are required: --kind"),
+        (("validate", "--check", "nope"), "argument --check: invalid choice: 'nope' "
+                                          "(choose from 'tropsha', 'rm', 'adequacy', "
+                                          "'objective', 'ri')"),
+        (("validate", "--check", "tropsha", "regress"), "unrecognized arguments: regress"),
+    ], ids=["none", "bogus", "prefix", "regress-missing", "curves-missing", "check", "extra"])
+    def test_usage_error_text(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"modeval: usage error: {message}\n")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(
