@@ -99,6 +99,15 @@ def f_beta(matrix: ConfusionMatrix2, beta: float) -> MetricValue:
         return MetricValue.undefined(metric_id, "undefined_component")
     if tp == 0 and fp > 0 and fn > 0:
         return MetricValue.undefined(metric_id, "zero_precision_recall")
+    if tp == 0:  # one of FP and FN is 0, the other not: F is 0 whatever b is
+        return MetricValue.defined(metric_id, 0.0)
+    try:
+        tp, fp, fn = float(tp), float(fp), float(fn)
+    except OverflowError:  # a count past a double: the exact count form, rounded once
+        from fractions import Fraction  # only such counts need it; keep it off the import path
+        b2 = Fraction(beta) ** 2
+        return MetricValue.defined(metric_id,
+                                   float((1 + b2) * tp / ((1 + b2) * tp + b2 * fn + fp)))
     b2 = beta * beta
     if math.isinf((1.0 + b2) * tp):  # divided through by b^2; at b^2 = inf it is the recall
         r = 1.0 / b2

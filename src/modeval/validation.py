@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import repeat
 from math import fsum
+from operator import mul, sub
 
 from .dataset import Metric, MetricValue, PairedSeries, _not_real, _repr, _text, evaluate
 from .errors import DataError, DefinednessError, UsageError
@@ -78,9 +80,9 @@ def _squared_pearson(ctx: SeriesContext) -> float:
 
 def _origin_slopes(data: PairedSeries) -> tuple[float, float]:
     a, p = data.actual, data.predicted
-    s_ap = fsum(ai * pi for ai, pi in zip(a, p))
-    s_pp = fsum(pi * pi for pi in p)
-    s_aa = fsum(ai * ai for ai in a)
+    s_ap = fsum(map(mul, a, p))
+    s_pp = fsum(map(mul, p, p))
+    s_aa = fsum(map(mul, a, a))
     if s_pp == 0:
         raise DefinednessError("sum(P^2) is zero; through-origin slope k undefined")
     if s_aa == 0:
@@ -90,7 +92,8 @@ def _origin_slopes(data: PairedSeries) -> tuple[float, float]:
 
 def _ro2(values, slope, centered_ss) -> float:
     # 1 - sum((v - slope*v)^2) / sum((v - mean)^2)
-    return 1.0 - fsum((v - slope * v) ** 2 for v in values) / centered_ss
+    return 1.0 - fsum(map(pow, map(sub, values, map(mul, repeat(slope), values)),
+                          repeat(2))) / centered_ss
 
 
 def tropsha_criteria(data: PairedSeries) -> TropshaReport:

@@ -242,3 +242,19 @@ def reference_wave_hedges(data):
             return MetricValue.undefined("WHD", "zero_denominator")
         terms.append(abs(a - p) / denom)
     return MetricValue.defined("WHD", math.fsum(terms), flags=flags)
+
+
+# The Tropsha sums as per-row generator expressions, the form that
+# validation's C-level pipelines replaced: the same float operations in the
+# same order, so the two must agree bit for bit and raise the same errors.
+
+def generator_origin_sums(actual, predicted):
+    """sum(A*P), sum(P^2) and sum(A^2), each correctly rounded."""
+    return (math.fsum(a * p for a, p in zip(actual, predicted)),
+            math.fsum(p * p for p in predicted),
+            math.fsum(a * a for a in actual))
+
+
+def generator_ro2(values, slope, centered_ss):
+    """1 - sum((v - slope*v)^2) / centered_ss."""
+    return 1.0 - math.fsum((v - slope * v) ** 2 for v in values) / centered_ss

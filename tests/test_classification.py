@@ -15,7 +15,7 @@ from modeval.classification import (ProbabilityMatrix, accuracy,
                                     log_loss, mcc, mean_cross_entropy,
                                     probability_matrix_from_scores, rates,
                                     wave_hedges)
-from modeval.dataset import (ConfusionMatrix2, ConfusionMatrixK, PairedSeries,
+from modeval.dataset import (ConfusionMatrix2, ConfusionMatrixK, MetricValue, PairedSeries,
                              ScoredBinarySet, confusion_from_labels)
 from modeval.errors import DataError, UsageError
 from modeval.regression import point_metric
@@ -136,6 +136,34 @@ class TestAccuracyAndF:
         # (1 + b^2) TP is finite, (2 + b^2) TP is not, and the divided form rounds differently
         matrix = ConfusionMatrix2(43 * 10 ** 306, 0, 10 ** 305, 1)
         assert f_beta(matrix, 1.5).value == 0.9983925701018039
+
+    @pytest.mark.parametrize("matrix, beta", [
+        (ConfusionMatrix2(0, 0, 1, 1), 1e200),  # b^2 is inf, and inf * 0 is NaN
+        (ConfusionMatrix2(0, 1, 0, 1), 1e-200),  # b^2 FN + FP underflows to 0
+        (ConfusionMatrix2(0, 10 ** 400, 0, 1), 1.0),
+    ])
+    def test_no_true_positive_is_zero_at_any_beta(self, matrix, beta):
+        assert f_beta(matrix, beta) == MetricValue.defined(f"F{beta:g}", 0.0)
+
+    @pytest.mark.parametrize("matrix, beta, value", [
+        (ConfusionMatrix2(10 ** 400, 1, 1, 1), 1.0, 1.0),
+        (ConfusionMatrix2(10 ** 400, 1, 10 ** 400, 1), 1.0, float(Fraction(2, 3))),
+        (ConfusionMatrix2(3, 10 ** 400, 1, 1), 2.0, 0.0),  # 15 / (10**400 + 19) underflows
+        (ConfusionMatrix2(10 ** 400, 3 * 10 ** 400, 10 ** 400, 1), 0.5,
+         float(Fraction(5, 5 + 1 + 12))),
+    ])
+    def test_a_count_past_a_double_takes_the_exact_count_form(self, matrix, beta, value):
+        assert f_beta(matrix, beta).value == value
+
+    @settings(max_examples=100)
+    @given(st.tuples(*[st.integers(0, 2 ** 1100)] * 3).filter(lambda c: max(c) >= 2 ** 1024),
+           st.floats(1e-150, 1e150))
+    def test_huge_counts_are_correctly_rounded(self, counts, beta):
+        tp, fp, fn = counts
+        mv = f_beta(ConfusionMatrix2(tp, fp, fn, 1), beta)
+        if mv.is_defined:
+            b2 = Fraction(beta) ** 2
+            assert mv.value == float((1 + b2) * tp / ((1 + b2) * tp + b2 * fn + fp))
 
     @settings(max_examples=200)
     @given(st.tuples(*[st.integers(0, 2 ** 60)] * 4).filter(any),

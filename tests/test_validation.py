@@ -4,7 +4,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from _oracles import generator_origin_sums, generator_ro2
+from modeval import validation
 from modeval.dataset import PairedSeries
 from modeval.errors import DataError, DefinednessError, UsageError
 from modeval.validation import (SLOPE_RANGE, adequacy_verdict, data_adequacy_ratio,
@@ -97,6 +101,43 @@ class TestTropsha:
     def test_too_short(self):
         with pytest.raises(DefinednessError):
             tropsha_criteria(PairedSeries([1, 2], [1, 2]))
+
+
+def _outcome(fn, *args):
+    # repr tells every two floats apart, -0.0 from 0.0 included
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError, DefinednessError) as exc:
+        return type(exc), str(exc)
+
+
+def _origin_slopes_by_generator(actual, predicted):
+    s_ap, s_pp, s_aa = generator_origin_sums(actual, predicted)
+    if s_pp == 0:
+        raise DefinednessError("sum(P^2) is zero; through-origin slope k undefined")
+    if s_aa == 0:
+        raise DefinednessError("sum(A^2) is zero; through-origin slope k' undefined")
+    return s_ap / s_pp, s_ap / s_aa
+
+
+# unit-scale values times 10**e, from underflowing squares to overflowing ones
+_scaled_series = st.tuples(
+    st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=3, max_size=30),
+    st.integers(-170, 200).map(lambda e: 10.0 ** e))
+
+
+@given(_scaled_series, st.floats(-1e3, 1e3), st.floats(0.1, 1e3))
+def test_the_tropsha_sums_match_their_generator_forms_bit_for_bit(series, slope, spread):
+    rows, scale = series
+    centered_ss = spread * scale * scale  # may underflow to 0 or overflow to inf
+    actual = [a * scale for a, _ in rows]
+    predicted = [p * scale for _, p in rows]
+    data = PairedSeries(actual, predicted)
+    assert (_outcome(validation._origin_slopes, data)
+            == _outcome(_origin_slopes_by_generator, actual, predicted))
+    for values in (data.actual, data.predicted):
+        assert (_outcome(validation._ro2, values, slope, centered_ss)
+                == _outcome(generator_ro2, values, slope, centered_ss))
 
 
 class TestRoyRm:
