@@ -19,6 +19,11 @@ ranking) renders as a defined plain value; a list gives one entry per item.
 A note is a string, or a function of the context for a note that depends on
 the run. No subcommand names a metric id or a note.
 
+Each subcommand is one record in ``COMMANDS``: its help line, a function
+giving its flags and the function that runs it. A process adds flags only to
+the subcommand that its arguments name, and lists the others by name and help
+line. ``validate``'s --check choices are the names in ``validation.CHECKS``.
+
 Each subcommand imports its metric family when it runs, so a process loads
 only the modules its own subcommand needs. The input digest comes from
 CPython's built-in SHA-256 (``_sha2`` on 3.12 and later, ``_sha256`` on 3.10
@@ -34,6 +39,7 @@ import argparse
 import io
 import json
 import sys
+from collections import namedtuple
 
 from . import __version__
 from .dataset import (DEFINED, MetricValue, confusion_from_scores, evaluate,
@@ -253,68 +259,65 @@ def _cmd_validate(args, inputs: _Inputs) -> list:
     return _report(check.table, evaluate(check.table, report))
 
 
-def build_parser() -> _Parser:
+_SWITCH, _REQUIRED = {"action": "store_true"}, {"required": True}
+# A flag is a (flag, add_argument options) pair. Every subcommand has --format,
+# regress and classify the catalog's flags, classify and curves the scored input's.
+_FORMAT = (("--format", {"choices": ("json", "table"), "default": "json"}),)
+_CATALOG = (("--metrics", {"default": "all"}), ("--strict", _SWITCH), ("--drop-bad-rows", _SWITCH))
+_SCORED = tuple((f, _REQUIRED) for f in ("--input", "--label-col", "--score-col", "--positive"))
+
+
+def _validate_flags():  # called only in a validate process, which imports validation anyway
+    from . import validation
+
+    return (*_FORMAT, ("--check", {"required": True, "choices": validation.CHECKS}),
+            ("--input", {}), ("--actual-col", {"default": "actual"}),
+            ("--predicted-col", {"default": "predicted"}), ("--observations", {"type": int}),
+            ("--parameters", {"type": int}), ("--train", {}), ("--validation", {}),
+            ("--model", {"action": "append", "default": [], "metavar": "NAME=PATH"}))
+
+
+# a subcommand: its help line, a function giving its flags, and the function that runs it
+_Command = namedtuple("_Command", "help flags run")
+
+
+COMMANDS = {
+    "regress": _Command("regression error metrics", lambda: (
+        *_FORMAT, *_CATALOG, ("--input", _REQUIRED), ("--actual-col", _REQUIRED),
+        ("--predicted-col", _REQUIRED),
+        ("--ordered", {**_SWITCH, "help": "declare index order meaningful (enables MASE)"}),
+        ("--skip-undefined-terms", _SWITCH)), _cmd_regress),
+    "classify": _Command("threshold classification metrics", lambda: (
+        *_FORMAT, *_CATALOG, *_SCORED, ("--threshold", {"type": float, "default": 0.5}),
+        ("--aca-weight", {"type": float, "default": 0.5})), _cmd_classify),
+    "curves": _Command("ROC / precision-recall sweeps", lambda: (
+        *_FORMAT, *_SCORED, ("--kind", {"choices": ("roc", "pr"), "required": True}),
+        ("--emit-points", {"metavar": "PATH"}), ("--lift-fraction", {"type": float}),
+        ("--cal", _SWITCH)), _cmd_curves),
+    "validate": _Command("multi-criteria model validation", _validate_flags, _cmd_validate),
+}
+
+
+def build_parser(argv) -> _Parser:
+    """The parser for ``argv``. It lists every subcommand, but adds flags only
+    to the one that ``argv`` names: its first argument that is no option."""
     parser = _Parser(prog="modeval",
                      description="Fitness and error metrics for model predictions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    output = _Parser(add_help=False)
-    output.add_argument("--format", choices=("json", "table"), default="json")
-    catalog = _Parser(add_help=False)  # regress and classify
-    catalog.add_argument("--metrics", default="all")
-    catalog.add_argument("--strict", action="store_true")
-    catalog.add_argument("--drop-bad-rows", action="store_true")
-    scored = _Parser(add_help=False)  # classify and curves
-    for flag in ("--input", "--label-col", "--score-col", "--positive"):
-        scored.add_argument(flag, required=True)
-
-    regress = sub.add_parser("regress", parents=[output, catalog],
-                             help="regression error metrics")
-    regress.add_argument("--input", required=True)
-    regress.add_argument("--actual-col", required=True)
-    regress.add_argument("--predicted-col", required=True)
-    regress.add_argument("--ordered", action="store_true",
-                         help="declare index order meaningful (enables MASE)")
-    regress.add_argument("--skip-undefined-terms", action="store_true")
-    regress.set_defaults(func=_cmd_regress)
-
-    classify = sub.add_parser("classify", parents=[output, catalog, scored],
-                              help="threshold classification metrics")
-    classify.add_argument("--threshold", type=float, default=0.5)
-    classify.add_argument("--aca-weight", type=float, default=0.5)
-    classify.set_defaults(func=_cmd_classify)
-
-    curves_cmd = sub.add_parser("curves", parents=[output, scored],
-                                help="ROC / precision-recall sweeps")
-    curves_cmd.add_argument("--kind", choices=("roc", "pr"), required=True)
-    curves_cmd.add_argument("--emit-points", metavar="PATH")
-    curves_cmd.add_argument("--lift-fraction", type=float)
-    curves_cmd.add_argument("--cal", action="store_true")
-    curves_cmd.set_defaults(func=_cmd_curves)
-
-    validate = sub.add_parser("validate", parents=[output],
-                              help="multi-criteria model validation")
-    validate.add_argument("--check", required=True,
-                          choices=("tropsha", "rm", "adequacy", "objective", "ri"))
-    validate.add_argument("--input")
-    validate.add_argument("--actual-col", default="actual")
-    validate.add_argument("--predicted-col", default="predicted")
-    validate.add_argument("--observations", type=int)
-    validate.add_argument("--parameters", type=int)
-    validate.add_argument("--train")
-    validate.add_argument("--validation")
-    validate.add_argument("--model", action="append", default=[], metavar="NAME=PATH")
-    validate.set_defaults(func=_cmd_validate)
-
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, command in COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        for flag, options in command.flags() if name == named else ():
+            subparser.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         inputs = _Inputs()
-        return _finish(argv, args, inputs, args.func(args, inputs))
+        return _finish(argv, args, inputs, COMMANDS[args.command].run(args, inputs))
     except UsageError as exc:
         print(f"modeval: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

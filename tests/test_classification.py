@@ -139,7 +139,7 @@ class TestAccuracyAndF:
 
     @pytest.mark.parametrize("matrix, beta", [
         (ConfusionMatrix2(0, 0, 1, 1), 1e200),  # b^2 is inf, and inf * 0 is NaN
-        (ConfusionMatrix2(0, 1, 0, 1), 1e-200),  # b^2 FN + FP underflows to 0
+        (ConfusionMatrix2(0, 0, 1, 1), 1e-200),  # b^2 FN + FP underflows to 0
         (ConfusionMatrix2(0, 10 ** 400, 0, 1), 1.0),
     ])
     def test_no_true_positive_is_zero_at_any_beta(self, matrix, beta):

@@ -449,13 +449,13 @@ class TestValidate:
         assert code == 1 and "--validation" in err
 
     def test_check_choices_are_the_registry_checks(self):
-        # the parser lists the checks itself, so that building it imports no family
+        # only a validate process builds the validate flags, so they can read the registry
         from modeval import validation
         from modeval.cli import build_parser
 
-        subcommands = build_parser()._subparsers._group_actions[0].choices
+        subcommands = build_parser(["validate"])._subparsers._group_actions[0].choices
         check = subcommands["validate"]._option_string_actions["--check"]
-        assert check.choices == tuple(validation.CHECKS)
+        assert check.choices is validation.CHECKS
 
     def test_each_check_builds_its_report_from_the_flags_it_needs(self):
         # the CLI calls check.report(**{name: value of --name for name in needs});
@@ -465,7 +465,7 @@ class TestValidate:
         from modeval import validation
         from modeval.cli import build_parser
 
-        subcommands = build_parser()._subparsers._group_actions[0].choices
+        subcommands = build_parser(["validate"])._subparsers._group_actions[0].choices
         dests = {action.dest for action in subcommands["validate"]._actions}
         for name, check in validation.CHECKS.items():
             assert set(check.needs) <= dests, name
@@ -532,6 +532,32 @@ class TestUsageText:
     ], ids=["none", "bogus", "prefix", "regress-missing", "curves-missing", "check", "extra"])
     def test_usage_error_text(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"modeval: usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("regress", "--input", FIXTURES / "f1.csv", "--actual-col", "a", "--predicted-col", "p"),
+        ("classify", "--input", FIXTURES / "c1.csv", "--label-col", "label",
+         "--score-col", "score", "--positive", "pos"),
+        ("curves", "--kind", "roc", "--input", FIXTURES / "s1.csv", "--label-col", "label",
+         "--score-col", "score", "--positive", "pos"),
+        ("validate", "--check", "adequacy", "--observations", "30", "--parameters", "7"),
+    ], ids=lambda argv: argv[0])
+    def test_a_run_adds_flags_to_its_own_subcommand_only(self, capsys, monkeypatch, argv):
+        from modeval import cli
+
+        built, build_parser = [], cli.build_parser
+
+        def recording_build_parser(argv):
+            built.append(build_parser(argv))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+        assert run_cli(capsys, *map(str, argv))[0] == 0
+        (parser,) = built
+        subcommands = parser._subparsers._group_actions[0].choices
+        assert list(subcommands) == list(cli.COMMANDS)
+        flags = {name: set(subparser._option_string_actions) - {"-h", "--help"}
+                 for name, subparser in subcommands.items()}
+        assert flags.pop(argv[0]) and not any(flags.values())
 
 
 class TestEntryPoint:

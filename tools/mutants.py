@@ -56,7 +56,8 @@ TOKENS = {
 TIMEOUT = 120.0  # seconds per pytest run
 
 # test files per module beyond tests/test_<module>.py; the golden reports run for every module
-EXTRA_TESTS = {"_stats": ["test_regression.py"], "dataset": ["test_value_types.py"]}
+EXTRA_TESTS = {"_stats": ["test_regression.py"], "dataset": ["test_value_types.py"],
+               "validation": ["test_cli.py"]}  # the CLI takes its --check choices from CHECKS
 
 # A pytest plugin for the copy: Hypothesis neither shrinks a failure, which
 # can take minutes and only the verdict is wanted, nor keeps examples from one
