@@ -23,6 +23,7 @@ from functools import cached_property
 from math import fsum
 from operator import add, sub, truediv
 
+from ._stats import sum_sq
 from .dataset import (NEGATIVE, POSITIVE, ConfusionMatrix2, ConfusionMatrixK, Metric,
                       MetricValue, PairedSeries, ScoredBinarySet, _check_probabilities,
                       _Frozen, _real, _real_column, _repr)
@@ -109,10 +110,11 @@ def f_beta(matrix: ConfusionMatrix2, beta: float) -> MetricValue:
         return MetricValue.defined(metric_id,
                                    float((1 + b2) * tp / ((1 + b2) * tp + b2 * fn + fp)))
     b2 = beta * beta
-    if math.isinf((1.0 + b2) * tp):  # divided through by b^2; at b^2 = inf it is the recall
-        r = 1.0 / b2
-        return MetricValue.defined(metric_id, (1.0 + r) * tp / ((1.0 + r) * tp + fn + r * fp))
-    return MetricValue.defined(metric_id, (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp))
+    denominator = (1.0 + b2) * tp + b2 * fn + fp
+    if math.isfinite(denominator):
+        return MetricValue.defined(metric_id, (1.0 + b2) * tp / denominator)
+    r = 1.0 / b2  # divided through by b^2; at b^2 = inf it is the recall
+    return MetricValue.defined(metric_id, (1.0 + r) * tp / ((1.0 + r) * tp + fn + r * fp))
 
 
 def mcc(matrix: ConfusionMatrix2) -> MetricValue:
@@ -260,9 +262,7 @@ def mean_cross_entropy(data: ScoredBinarySet) -> MetricValue:
 def brier_score(data: ScoredBinarySet) -> MetricValue:
     """Mean squared gap between forecast probability and the 0/1 outcome."""
     _check_probabilities(data.scores)
-    terms = ((s - (1.0 if is_pos else 0.0)) ** 2
-             for is_pos, s in zip(data.labels, data.scores))
-    return MetricValue.defined("BRIER", fsum(terms) / len(data))
+    return MetricValue.defined("BRIER", sum_sq(map(sub, data.scores, data.labels)) / len(data))
 
 
 def hinge_loss(data: ScoredBinarySet) -> MetricValue:

@@ -481,7 +481,8 @@ def _load(source, columns, keep, drop_bad_rows: bool, warnings: list | None) -> 
     each half is handed over again in turn, down to single rows, so a block
     with one bad row costs about a dozen calls. A row that ``keep`` rejects
     on its own is bad: the per-cell checks raise the DataError for its first
-    bad cell, or, with ``drop_bad_rows``, the row is counted and dropped.
+    bad cell, a row whose cells all pass them is a DataError of its own, and
+    with ``drop_bad_rows`` the row is counted and dropped instead.
 
     The csv module splits records straight from a binary stream, so no
     decoded copy of the whole text and no list of lines is ever held. A
@@ -523,6 +524,7 @@ def _load(source, columns, keep, drop_bad_rows: bool, warnings: list | None) -> 
                 if not drop_bad_rows:
                     for index, (name, numeric) in zip(indices, columns):
                         _check_cell(row, row_number, index, name, numeric)
+                    raise DataError(f"row {row_number}: the loader rejected its values")
                 dropped += 1
             number += len(block)
             if failure is not None:

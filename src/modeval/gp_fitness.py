@@ -15,7 +15,7 @@ import math
 from functools import cached_property
 from math import fsum
 
-from ._stats import sum_sq_dev
+from ._stats import sum_sq, sum_sq_dev
 from .dataset import MetricValue, _Frozen, _real_column
 from .errors import DataError
 
@@ -93,7 +93,7 @@ def ffa(data: ClassOutputs) -> MetricValue:
     """
 
     def class_score(outputs, target):
-        gap = fsum((sig_scaled(p) - target) ** 2 for p in outputs)
+        gap = sum_sq(sig_scaled(p) - target for p in outputs)
         return 1.0 - gap / (2.0 * len(outputs))
 
     value = (class_score(data.minority, 0.5) + class_score(data.majority, -0.5)) / 2.0
@@ -111,8 +111,8 @@ def ffc(data: ClassOutputs) -> MetricValue:
     total = sum_sq_dev(pooled, pooled_mean)
     if total == 0:
         return MetricValue.undefined("FFC", "zero_denominator")
-    between = (len(data.minority) * (data.minority_mean - pooled_mean) ** 2
-               + len(data.majority) * (data.majority_mean - pooled_mean) ** 2)
+    d_min, d_maj = data.minority_mean - pooled_mean, data.majority_mean - pooled_mean
+    between = len(data.minority) * (d_min * d_min) + len(data.majority) * (d_maj * d_maj)
     r = math.sqrt(between) / math.sqrt(total)
     bonus = 1.0 if data.minority_mean > 0 and data.majority_mean < 0 else 0.0
     return MetricValue.defined("FFC", (r + bonus) / 2.0)

@@ -37,7 +37,7 @@ from itertools import compress, islice, repeat, tee
 from math import fsum
 from operator import add, mul, not_, sub, truediv
 
-from ._stats import sum_abs_dev, sum_sq_dev
+from ._stats import sum_abs_dev, sum_sq, sum_sq_dev
 from .dataset import Metric, MetricValue, PairedSeries, evaluate
 
 
@@ -70,7 +70,7 @@ class SeriesContext:
 
     @cached_property
     def sse(self) -> float:
-        return fsum(map(mul, self.e, self.e))
+        return sum_sq(self.e)
 
     @cached_property
     def sum_abs_e(self) -> float:
@@ -121,7 +121,7 @@ class SeriesContext:
 
     @cached_property
     def sq_ratio_sum(self) -> float:
-        return fsum(map(mul, *tee(self._ratios())))
+        return sum_sq(self._ratios())
 
     @cached_property
     def geo_mean_abs(self) -> float:

@@ -24,6 +24,7 @@ from itertools import repeat
 from math import fsum
 from operator import mul, sub
 
+from ._stats import sum_sq
 from .dataset import Metric, MetricValue, PairedSeries, _not_real, _repr, _text, evaluate
 from .errors import DataError, DefinednessError, UsageError
 from .regression import METRICS, SeriesContext
@@ -81,8 +82,8 @@ def _squared_pearson(ctx: SeriesContext) -> float:
 def _origin_slopes(data: PairedSeries) -> tuple[float, float]:
     a, p = data.actual, data.predicted
     s_ap = fsum(map(mul, a, p))
-    s_pp = fsum(map(mul, p, p))
-    s_aa = fsum(map(mul, a, a))
+    s_pp = sum_sq(p)
+    s_aa = sum_sq(a)
     if s_pp == 0:
         raise DefinednessError("sum(P^2) is zero; through-origin slope k undefined")
     if s_aa == 0:
@@ -92,8 +93,7 @@ def _origin_slopes(data: PairedSeries) -> tuple[float, float]:
 
 def _ro2(values, slope, centered_ss) -> float:
     # 1 - sum((v - slope*v)^2) / sum((v - mean)^2)
-    return 1.0 - fsum(map(pow, map(sub, values, map(mul, repeat(slope), values)),
-                          repeat(2))) / centered_ss
+    return 1.0 - sum_sq(map(sub, values, map(mul, repeat(slope), values))) / centered_ss
 
 
 def tropsha_criteria(data: PairedSeries) -> TropshaReport:

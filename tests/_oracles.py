@@ -244,9 +244,9 @@ def reference_wave_hedges(data):
     return MetricValue.defined("WHD", math.fsum(terms), flags=flags)
 
 
-# The Tropsha sums as per-row generator expressions, the form that
-# validation's C-level pipelines replaced: the same float operations in the
-# same order, so the two must agree bit for bit and raise the same errors.
+# Sums of squares as per-row generator expressions, each square as d * d:
+# the same float operations in the same order as the library's pipelines, so
+# the two must agree bit for bit and raise the same errors.
 
 def generator_origin_sums(actual, predicted):
     """sum(A*P), sum(P^2) and sum(A^2), each correctly rounded."""
@@ -257,4 +257,35 @@ def generator_origin_sums(actual, predicted):
 
 def generator_ro2(values, slope, centered_ss):
     """1 - sum((v - slope*v)^2) / centered_ss."""
-    return 1.0 - math.fsum((v - slope * v) ** 2 for v in values) / centered_ss
+    return 1.0 - math.fsum(d * d for d in (v - slope * v for v in values)) / centered_ss
+
+
+def generator_brier(labels, scores) -> float:
+    """mean((s - y)^2) with y = 1.0 for a positive label and 0.0 otherwise."""
+    terms = (d * d for d in (s - (1.0 if y else 0.0) for y, s in zip(labels, scores)))
+    return math.fsum(terms) / len(scores)
+
+
+def generator_ffa(minority, majority) -> float:
+    """The mean over both classes of 1 - sum((tanh(x/2) - target)^2) / (2 N)."""
+    def class_score(outputs, target):
+        gap = math.fsum(d * d for d in (math.tanh(0.5 * x) - target for x in outputs))
+        return 1.0 - gap / (2.0 * len(outputs))
+    return (class_score(minority, 0.5) + class_score(majority, -0.5)) / 2.0
+
+
+def generator_ffc(minority, majority):
+    """(sqrt(between-class SS / total SS) + bonus) / 2, or None where total SS is 0."""
+    pooled = list(minority) + list(majority)
+    pooled_mean = math.fsum(pooled) / len(pooled)
+    total = math.fsum(d * d for d in (x - pooled_mean for x in pooled))
+    if total == math.inf:
+        raise OverflowError("sum of squared deviations out of range")
+    if total == 0:
+        return None
+    means = [math.fsum(side) / len(side) for side in (minority, majority)]
+    between = 0.0
+    for side, mean in zip((minority, majority), means):
+        between += len(side) * ((mean - pooled_mean) * (mean - pooled_mean))
+    bonus = 1.0 if means[0] > 0 > means[1] else 0.0
+    return (math.sqrt(between) / math.sqrt(total) + bonus) / 2.0

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_canberra, reference_wave_hedges
+from _oracles import generator_brier, reference_canberra, reference_wave_hedges
 from modeval.classification import (ProbabilityMatrix, accuracy,
                                     average_class_accuracy, balanced_accuracy,
                                     brier_score, canberra, cohen_kappa, f_beta,
@@ -158,6 +158,7 @@ class TestAccuracyAndF:
     @settings(max_examples=100)
     @given(st.tuples(*[st.integers(0, 2 ** 1100)] * 3).filter(lambda c: max(c) >= 2 ** 1024),
            st.floats(1e-150, 1e150))
+    @example((1, 1, 10 ** 10), 1e150)  # small counts whose b^2 FN overflows
     def test_huge_counts_are_correctly_rounded(self, counts, beta):
         tp, fp, fn = counts
         mv = f_beta(ConfusionMatrix2(tp, fp, fn, 1), beta)
@@ -168,13 +169,14 @@ class TestAccuracyAndF:
     @settings(max_examples=200)
     @given(st.tuples(*[st.integers(0, 2 ** 60)] * 4).filter(any),
            st.floats(1e-150, 1e150))
-    def test_a_finite_weighted_count_keeps_the_count_form(self, counts, beta):
+    @example((1, 0, 2 ** 60, 0), 1e150)  # b^2 FN overflows, (1 + b^2) TP does not
+    def test_a_finite_count_form_denominator_keeps_the_count_form(self, counts, beta):
         mv = f_beta(ConfusionMatrix2(*counts), beta)
         tp, fp, fn, _ = counts
         if mv.is_defined:
             b2 = beta * beta
-            count_form = (1.0 + b2) * tp / ((1.0 + b2) * tp + b2 * fn + fp)
-            assert mv.value == count_form or not math.isfinite(count_form)
+            denominator = (1.0 + b2) * tp + b2 * fn + fp
+            assert mv.value == (1.0 + b2) * tp / denominator or not math.isfinite(denominator)
 
 
 class TestMcc:
@@ -431,6 +433,12 @@ class TestCrossEntropyAndBrier:
             mse = point_metric("MSE", PairedSeries(
                 [1.0 if f else 0.0 for f in flags], scores)).value
             assert brier == mse
+
+    @given(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    def test_brier_matches_its_generator_form_bit_for_bit(self, rows):
+        labels, scores = [y for y, _ in rows], [s for _, s in rows]
+        brier = brier_score(ScoredBinarySet(labels, scores)).value
+        assert brier.hex() == generator_brier(labels, scores).hex()
 
     @pytest.mark.parametrize("prevalence,seed", [(0.2, 47), (0.5, 53), (0.7, 59)])
     def test_constant_forecast_minimized_at_base_rate(self, prevalence, seed):

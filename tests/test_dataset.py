@@ -16,7 +16,7 @@ from modeval.classification import ProbabilityMatrix, average_class_accuracy, f_
 from modeval.curves import lift
 from modeval.dataset import (ConfusionMatrix2, ConfusionMatrixK, MetricValue,
                              NEGATIVE, PairedSeries, POSITIVE, ScoredBinarySet,
-                             _BLOCK_ROWS, _check_probabilities, _real_column, binarize,
+                             _BLOCK_ROWS, _check_probabilities, _load, _real_column, binarize,
                              confusion_from_labels, confusion_from_scores, load_paired_csv,
                              load_scored_csv)
 from modeval.errors import (DataError, EmptyInputError, MetricsError, SchemaError,
@@ -122,6 +122,32 @@ class TestLoadPairedCsv:
         assert s.actual.tolist() == [1e308, 1.7e308, -1e308]
         assert s.predicted.tolist() == [1e308, 1.7e308, 5.0]
         assert warnings == []
+
+
+class TestLoadKeep:
+    """``_load`` with a ``keep`` that rejects one chosen row whose cells all
+    pass the per-cell checks."""
+
+    @staticmethod
+    def _load(drop_bad_rows):
+        kept, warnings = [], []
+
+        def keep(cells):
+            cells = list(cells)
+            if "3" in cells:
+                raise ValueError
+            kept.extend(cells)
+
+        _load(b"a\n1\n2\n3\n4\n", (("a", True),), keep, drop_bad_rows, warnings)
+        return kept, warnings
+
+    def test_the_row_is_a_data_error_that_names_it(self):
+        with pytest.raises(DataError, match=r"^row 3: the loader rejected its values$"):
+            self._load(drop_bad_rows=False)
+
+    def test_drop_bad_rows_counts_and_drops_it(self):
+        assert self._load(drop_bad_rows=True) == (
+            ["1", "2", "4"], ["dropped 1 row(s) with unusable cells"])
 
 
 class TestByteOrderMark:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import pairwise_auc
+from _oracles import generator_ffa, generator_ffc, pairwise_auc
 from modeval.curves import auc, roc_curve
 from modeval.dataset import ScoredBinarySet
 from modeval.errors import DataError
@@ -152,6 +152,29 @@ class TestFfc:
             mv = ffc(random_outputs(rng))
             if mv.is_defined:
                 assert -1e-12 <= mv.value <= 1.0 + 1e-12
+
+
+# unit-scale outputs, and any finite ones, so that squares overflow and underflow
+_outputs = st.lists(
+    st.one_of(st.floats(-10, 10), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=20)
+
+
+def _hex_outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return None if value is None else value.hex()
+
+
+@given(_outputs, _outputs)
+def test_ffa_and_ffc_match_their_generator_forms_bit_for_bit(minority, majority):
+    data = ClassOutputs(minority, majority)
+    assert (_hex_outcome(lambda: ffa(data).value)
+            == _hex_outcome(generator_ffa, minority, majority))
+    assert (_hex_outcome(lambda: ffc(data).value)
+            == _hex_outcome(generator_ffc, minority, majority))
 
 
 class TestFfd:

@@ -346,6 +346,14 @@ class TestSharedStatistics:
         assert all(mv.id == metric_id for metric_id, mv in report.items())
 
 
+def _centred_sum_sq(values, mean):
+    # an infinite sum of squared deviations raises, as _stats.sum_sq_dev does
+    total = fsum(d * d for d in (v - mean for v in values))
+    if total == math.inf:
+        raise OverflowError("sum of squared deviations out of range")
+    return total
+
+
 class GeneratorContext(SeriesContext):
     """The shared sums as the generator expressions that the map pipelines
     replaced: each term is the same float operation, so fsum gives the same bits."""
@@ -368,11 +376,11 @@ class GeneratorContext(SeriesContext):
 
     @cached_property
     def s_aa(self):
-        return fsum((v - self.a_mean) ** 2 for v in self.a)
+        return _centred_sum_sq(self.a, self.a_mean)
 
     @cached_property
     def s_pp(self):
-        return fsum((v - self.p_mean) ** 2 for v in self.p)
+        return _centred_sum_sq(self.p, self.p_mean)
 
     @cached_property
     def abs_dev_a(self):

@@ -56,8 +56,13 @@ TOKENS = {
 TIMEOUT = 120.0  # seconds per pytest run
 
 # test files per module beyond tests/test_<module>.py; the golden reports run for every module
-EXTRA_TESTS = {"_stats": ["test_regression.py"], "dataset": ["test_value_types.py"],
-               "validation": ["test_cli.py"]}  # the CLI takes its --check choices from CHECKS
+EXTRA_TESTS = {
+    # every family squares through _stats.sum_sq
+    "_stats": ["test_regression.py", "test_validation.py", "test_classification.py",
+               "test_gp_fitness.py", "test_metamorphic.py"],
+    "dataset": ["test_value_types.py"],
+    "validation": ["test_cli.py"],  # the CLI takes its --check choices from CHECKS
+}
 
 # A pytest plugin for the copy: Hypothesis neither shrinks a failure, which
 # can take minutes and only the verdict is wanted, nor keeps examples from one
