@@ -17,7 +17,6 @@ still costs exactly 0.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import namedtuple
 from functools import cached_property
 from math import fsum
@@ -89,7 +88,8 @@ def f_beta(matrix: ConfusionMatrix2, beta: float) -> MetricValue:
     Evaluated from the counts, (1+b^2)TP / ((1+b^2)TP + b^2 FN + FP), which
     extends the rate form to matrices where exactly one of precision/recall
     is undefined. Precision and recall both undefined, or both zero, yields
-    an undefined result.
+    an undefined result. Where that form overflows in floats (a count past a
+    double, or a huge beta), the exact count form is rounded once.
     """
     beta = _real(beta, "beta")
     if not beta > 0:
@@ -102,19 +102,18 @@ def f_beta(matrix: ConfusionMatrix2, beta: float) -> MetricValue:
         return MetricValue.undefined(metric_id, "zero_precision_recall")
     if tp == 0:  # one of FP and FN is 0, the other not: F is 0 whatever b is
         return MetricValue.defined(metric_id, 0.0)
-    try:
-        tp, fp, fn = float(tp), float(fp), float(fn)
-    except OverflowError:  # a count past a double: the exact count form, rounded once
-        from fractions import Fraction  # only such counts need it; keep it off the import path
-        b2 = Fraction(beta) ** 2
-        return MetricValue.defined(metric_id,
-                                   float((1 + b2) * tp / ((1 + b2) * tp + b2 * fn + fp)))
     b2 = beta * beta
-    denominator = (1.0 + b2) * tp + b2 * fn + fp
+    try:
+        weighted_tp = (1.0 + b2) * float(tp)
+        denominator = weighted_tp + b2 * float(fn) + float(fp)
+    except OverflowError:  # a count past a double
+        denominator = math.inf
     if math.isfinite(denominator):
-        return MetricValue.defined(metric_id, (1.0 + b2) * tp / denominator)
-    r = 1.0 / b2  # divided through by b^2; at b^2 = inf it is the recall
-    return MetricValue.defined(metric_id, (1.0 + r) * tp / ((1.0 + r) * tp + fn + r * fp))
+        return MetricValue.defined(metric_id, weighted_tp / denominator)
+    # the float form failed: the exact count form, rounded once
+    from fractions import Fraction  # only such counts and betas need it; not on the import path
+    b2 = Fraction(beta) ** 2
+    return MetricValue.defined(metric_id, float((1 + b2) * tp / ((1 + b2) * tp + b2 * fn + fp)))
 
 
 def mcc(matrix: ConfusionMatrix2) -> MetricValue:
@@ -275,6 +274,9 @@ def hinge_loss(data: ScoredBinarySet) -> MetricValue:
 def _distance(metric_id: str, data: PairedSeries, denominators) -> MetricValue:
     """sum(|A_i - P_i| / d_i); undefined when a d_i is zero.
 
+    Only ``data.actual`` and ``data.predicted`` are read, so any pair of
+    equal-length real columns will do, a tuple of bools included.
+
     ``denominators`` makes a fresh iterator of the d_i on each call, so no
     list of them is held. One pass divides and sums; a zero d_i stops it.
     """
@@ -347,11 +349,6 @@ class ThresholdContext:
         # terms, so LOG_LOSS shares MXE's value without building the matrix.
         return mean_cross_entropy(self.data)
 
-    @cached_property
-    def indicator_series(self) -> PairedSeries:
-        """(label, score) pairs for the vector distances; a bool label is 1.0 or 0.0."""
-        return PairedSeries(array("d", self.data.labels), self.data.scores)
-
 
 # The tally itself, reported ahead of the requested metrics.
 COUNTS = {name: Metric(name, lambda c, count=name.lower(): getattr(c.matrix, count), "")
@@ -359,6 +356,11 @@ COUNTS = {name: Metric(name, lambda c, count=name.lower(): getattr(c.matrix, cou
 
 _F_BETA_NOTE = "F_beta = (1 + b^2)*TP / ((1 + b^2)*TP + b^2*FN + FP)"
 _ON_INDICATORS = " [on (indicator label, score) pairs]"
+
+# CM and WHD read the scored set's own columns, no copy: a bool label is the
+# 0/1 indicator, and True - s, abs(True) + abs(s) and max(False, s) round as
+# 1.0 - s, 1.0 + abs(s) and max(0.0, s) do (a False maximum divides by zero).
+_Indicators = namedtuple("_Indicators", "actual predicted")
 
 METRICS = {m.id: m for m in (
     Metric("TPR", lambda c: c.rates.tpr, "TPR = TP / (TP + FN)"),
@@ -394,9 +396,9 @@ METRICS = {m.id: m for m in (
     Metric("MXE", lambda c: c.cross_entropy,
            f"MXE = -mean(y*log(s) + (1-y)*log(1-s)); log arguments floored at {CLAMP_EPSILON:g}"),
     Metric("HINGE", lambda c: hinge_loss(c.data), "HINGE = mean(max(0, 1 - q*y)), q = +/-1"),
-    Metric("CM", lambda c: canberra(c.indicator_series),
+    Metric("CM", lambda c: canberra(_Indicators(c.data.labels, c.data.scores)),
            "CM = sum(|A_i - P_i| / (|A_i| + |P_i|))" + _ON_INDICATORS),
-    Metric("WHD", lambda c: wave_hedges(c.indicator_series),
+    Metric("WHD", lambda c: wave_hedges(_Indicators(c.data.labels, c.data.scores)),
            "WHD = sum(|A_i - P_i| / max(A_i, P_i))  [non-negative inputs assumed]"
            + _ON_INDICATORS),
 )}

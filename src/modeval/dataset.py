@@ -46,7 +46,7 @@ from array import array
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
-from operator import itemgetter, ne
+from operator import countOf, ge, itemgetter, ne
 
 from .errors import DataError, EmptyInputError, SchemaError, UsageError
 
@@ -625,18 +625,12 @@ def confusion_from_scores(data: ScoredBinarySet, threshold: float) -> ConfusionM
     Ties go positive: score >= threshold predicts the positive class.
     """
     threshold = _real(threshold, "threshold")
-    tp = fp = fn = tn = 0
-    for is_positive, score in zip(data.labels, data.scores):
-        predicted_positive = score >= threshold
-        if is_positive and predicted_positive:
-            tp += 1
-        elif is_positive:
-            fn += 1
-        elif predicted_positive:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionMatrix2(tp=tp, fp=fp, fn=fn, tn=tn)
+    # one pass boxes each score once; counting its 0/1 bytes stays in C, where
+    # a sum of bools would leave int's fast path
+    predicted = bytes(map(ge, data.scores, repeat(threshold)))
+    tp = countOf(compress(predicted, data.labels), 1)
+    fn, fp = data.positive_count - tp, predicted.count(1) - tp
+    return ConfusionMatrix2(tp=tp, fp=fp, fn=fn, tn=len(data) - tp - fn - fp)
 
 
 def confusion_from_labels(actual, predicted) -> ConfusionMatrixK:

@@ -7,6 +7,9 @@ caller labels which examples are minority; nothing is inferred from counts.
 All of them share the scaled sigmoid sig(x) = 2/(1 + e^-x) - 1, which maps
 outputs onto (-1, 1). Per-class targets for the pattern-difference score are
 +0.5 (minority) and -0.5 (majority).
+
+FFC and FFD are undefined with reason ``overflow`` where a class sum or a sum
+of squared deviations leaves the double range, as at outputs near 1e200.
 """
 
 from __future__ import annotations
@@ -107,11 +110,14 @@ def ffc(data: ClassOutputs) -> MetricValue:
     pooled outputs and bonus = 1 when mean(minority) > 0 > mean(majority).
     """
     pooled = data.minority + data.majority
-    pooled_mean = fsum(pooled) / len(pooled)
-    total = sum_sq_dev(pooled, pooled_mean)
+    try:
+        pooled_mean = fsum(pooled) / len(pooled)
+        total = sum_sq_dev(pooled, pooled_mean)
+        d_min, d_maj = data.minority_mean - pooled_mean, data.majority_mean - pooled_mean
+    except OverflowError:
+        return MetricValue.undefined("FFC", "overflow")
     if total == 0:
         return MetricValue.undefined("FFC", "zero_denominator")
-    d_min, d_maj = data.minority_mean - pooled_mean, data.majority_mean - pooled_mean
     between = len(data.minority) * (d_min * d_min) + len(data.majority) * (d_maj * d_maj)
     r = math.sqrt(between) / math.sqrt(total)
     bonus = 1.0 if data.minority_mean > 0 and data.majority_mean < 0 else 0.0
@@ -125,7 +131,10 @@ def ffd(data: ClassOutputs) -> MetricValue:
     with population stds. Unbounded above; 0 whenever the class means are not
     on opposite sides of zero (minority positive, majority negative).
     """
-    spread = data.minority_std + data.majority_std
+    try:
+        spread = data.minority_std + data.majority_std
+    except OverflowError:
+        return MetricValue.undefined("FFD", "overflow")
     if spread == 0:
         return MetricValue.undefined("FFD", "zero_denominator")
     if not (data.minority_mean > 0 > data.majority_mean):

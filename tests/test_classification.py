@@ -541,7 +541,6 @@ class TestThresholdReport:
         assert [mv.id for mv in values.values()] == list(values) == list(METRICS)
         notes = {entry["id"]: entry["formula_note"] for entry in _report(METRICS, values, ctx)}
         assert notes["ACA"].endswith("[w = 0.7]")
-        assert ctx.indicator_series is ctx.indicator_series
 
     def test_unknown_id(self):
         from modeval.classification import METRICS, ThresholdContext

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import generator_ffa, generator_ffc, pairwise_auc
 from modeval.curves import auc, roc_curve
-from modeval.dataset import ScoredBinarySet
+from modeval.dataset import MetricValue, ScoredBinarySet
 from modeval.errors import DataError
 from modeval.gp_fitness import (ClassOutputs, d_score, ffa, ffc, ffd, sig_scaled,
                                 wmw)
@@ -173,8 +173,22 @@ def test_ffa_and_ffc_match_their_generator_forms_bit_for_bit(minority, majority)
     data = ClassOutputs(minority, majority)
     assert (_hex_outcome(lambda: ffa(data).value)
             == _hex_outcome(generator_ffa, minority, majority))
-    assert (_hex_outcome(lambda: ffc(data).value)
-            == _hex_outcome(generator_ffc, minority, majority))
+    want = _hex_outcome(generator_ffc, minority, majority)
+    if isinstance(want, tuple):  # where the generator form overflows, FFC is undefined
+        assert want[0] is OverflowError
+        assert ffc(data) == MetricValue.undefined("FFC", "overflow")
+    else:
+        assert _hex_outcome(lambda: ffc(data).value) == want
+
+
+# a sum of squared deviations, then a class sum, leaves the double range
+@pytest.mark.parametrize("minority, majority", [
+    ([1e200, 3e200], [-1e200, -2e200]),
+    ([1.7e308, 1.7e308], [-1.0, 2.0]),
+])
+@pytest.mark.parametrize("fn, metric_id", [(ffc, "FFC"), (ffd, "FFD")])
+def test_overflow_is_undefined(minority, majority, fn, metric_id):
+    assert fn(ClassOutputs(minority, majority)) == MetricValue.undefined(metric_id, "overflow")
 
 
 class TestFfd:

@@ -8,16 +8,30 @@ Floating-Point Arithmetic", ACM Computing Surveys 23(1), 1991). The values
 drawn here have at most six decimals and magnitudes up to 1e3, and ``k`` stays
 within 60, far from both ends of that range, so the relations hold bit for
 bit. A square taken as ``pow(x, 2)`` breaks them where it misrounds.
+
+The classification and curve ids obey relations of order and of labels:
+``fsum`` is exact and order-free and the counts are ints, so a row
+permutation keeps every threshold id's bits, and one that keeps tied rows in
+their order keeps every curve id's bits. Flipping every label swaps the
+tally's cells, and with them pairs of rates. Halving the scores keeps their
+order and their ties, and so every curve id but CAL, which reads the scores
+themselves. The gp_fitness scores WMW, FFC and FFD keep their bits when the
+outputs are scaled by a power of two.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from modeval.dataset import PairedSeries
-from modeval.errors import DefinednessError
+from modeval import classification, curves
+from modeval.classification import ThresholdContext
+from modeval.curves import CurveContext
+from modeval.dataset import MetricValue, PairedSeries, ScoredBinarySet, confusion_from_scores
+from modeval.errors import DefinednessError, MetricsError
+from modeval.gp_fitness import ClassOutputs, ffc, ffd, wmw
 from modeval.regression import METRIC_IDS, regression_report
 from modeval.validation import tropsha_criteria
 
@@ -85,3 +99,118 @@ def test_power_of_two_scaling(series, ordered, k):
         else:
             assert got.value.hex() == expected.hex(), metric_id
     assert _tropsha(scaled_actual, scaled_predicted) == _tropsha(actual, predicted)
+
+
+# The exact relations of the scored-set ids, by relation. An id of
+# classification.COUNTS, classification.METRICS or curves.METRICS that no
+# relation names fails test_every_scored_id_states_a_relation.
+_FLIP_PAIRS = (("TP", "FP"), ("FN", "TN"), ("TPR", "FPR"), ("TNR", "FNR"), ("PPV", "FDR"),
+               ("NPV", "FOR"), ("ACC", "HAMMING"))
+# flipping every label gives each id its partner's value
+FLIPPED = {**dict(_FLIP_PAIRS), **{b: a for a, b in _FLIP_PAIRS}}
+# a row permutation keeps the bits
+PERMUTED = ("TP", "FP", "FN", "TN", "TPR", "TNR", "PPV", "NPV", "FPR", "FNR", "FDR", "FOR",
+            "LR_PLUS", "LR_MINUS", "DOR", "ACC", "F1", "F2", "MCC", "BM", "MK", "ACA", "BACC",
+            "KAPPA", "HAMMING", "LOG_LOSS", "BRIER", "MXE", "HINGE", "CM", "WHD")
+# halving every score keeps the bits
+HALVED = ("AUC", "AP", "BREAK_EVEN", "LIFT")
+# a row permutation that keeps tied rows in their order keeps the bits
+TIES_KEPT = ("AUC", "AP", "BREAK_EVEN", "LIFT", "CAL")
+
+SETS = 400
+
+
+def test_every_scored_id_states_a_relation():
+    stated = set(FLIPPED) | set(PERMUTED) | set(HALVED) | set(TIES_KEPT)
+    for table in (classification.COUNTS, classification.METRICS, curves.METRICS):
+        assert set(table) <= stated, sorted(set(table) - stated)
+
+
+def _outcome(fn, ctx):
+    """An entry's result without its id, as text that tells every two floats
+    apart; a refusal is its type, since a message may name a row by index."""
+    try:
+        value = fn(ctx)
+    except MetricsError as exc:
+        return type(exc)
+    if isinstance(value, MetricValue):
+        value = (value.value, value.status, value.reason, value.dropped_terms, value.flags)
+    return repr(value)
+
+
+def _scored_sets(seed, max_rows):
+    """Seeded scored sets: probabilities with many ties, zeros of both signs
+    and the ends, and now and then a margin outside [0, 1] or a single class."""
+    rng = random.Random(seed)
+    for _ in range(SETS):
+        n = rng.randint(1, max_rows)
+        share = rng.choice((0.0, 0.1, 0.5, 0.9, 1.0))
+        pool = [rng.choice((0.0, -0.0, 1.0, 0.5, round(rng.random(), 2), rng.random()))
+                for _ in range(rng.randint(1, n))]
+        if rng.random() < 0.1:
+            pool.append(rng.uniform(-2.0, 2.0))
+        labels = [rng.random() < share for _ in range(n)]
+        yield rng, labels, [rng.choice(pool) for _ in range(n)]
+
+
+def _threshold_outcomes(labels, scores, threshold):
+    data = ScoredBinarySet(labels, scores)
+    ctx = ThresholdContext(data, confusion_from_scores(data, threshold))
+    table = {**classification.COUNTS, **classification.METRICS}
+    return {metric_id: _outcome(m.fn, ctx) for metric_id, m in table.items()}
+
+
+def test_label_flip_and_row_permutation():
+    for rng, labels, scores in _scored_sets(41, 40):
+        threshold = rng.choice((*scores, 0.5))
+        base = _threshold_outcomes(labels, scores, threshold)
+        flipped = _threshold_outcomes([not y for y in labels], scores, threshold)
+        for metric_id, partner in FLIPPED.items():
+            assert flipped[metric_id] == base[partner], metric_id
+        rows = list(zip(labels, scores))
+        rng.shuffle(rows)
+        permuted = _threshold_outcomes(*zip(*rows), threshold)
+        assert {i: permuted[i] for i in PERMUTED} == {i: base[i] for i in PERMUTED}
+
+
+def _curve_outcomes(labels, scores, fraction, ids):
+    data = ScoredBinarySet(labels, scores)
+    roc, pr = (CurveContext(data, kind, fraction) for kind in ("roc", "pr"))
+    return {metric_id: _outcome(curves.METRICS[metric_id].fn, roc if metric_id == "AUC" else pr)
+            for metric_id in ids}
+
+
+def _ties_kept_order(rng, scores):
+    """A random row order in which rows of equal scores keep their order."""
+    order = list(range(len(scores)))
+    rng.shuffle(order)
+    members = {}
+    for i, s in enumerate(scores):  # -0.0 and 0.0 are one key, as they are one tie
+        members.setdefault(s, []).append(i)
+    queues = {s: iter(rows) for s, rows in members.items()}
+    return [next(queues[scores[i]]) for i in order]
+
+
+def test_halved_scores_and_tie_keeping_permutation():
+    for rng, labels, scores in _scored_sets(43, 160):
+        fraction = rng.choice((0.05, 0.1, 1 / 3, 0.5, 1.0))
+        base = _curve_outcomes(labels, scores, fraction, curves.METRICS)
+        halved = _curve_outcomes(labels, [s / 2 for s in scores], fraction, HALVED)
+        assert halved == {i: base[i] for i in HALVED}
+        order = _ties_kept_order(rng, scores)
+        moved = _curve_outcomes([labels[i] for i in order], [scores[i] for i in order],
+                                fraction, TIES_KEPT)
+        assert moved == {i: base[i] for i in TIES_KEPT}
+
+
+def test_gp_scores_keep_their_bits_under_power_of_two_scaling():
+    rng = random.Random(47)
+    for _ in range(2000):
+        pool = [0.0, rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]
+        sides = [[rng.choice(pool) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+                  for _ in range(rng.randint(1, 12))] for _ in "ab"]
+        k = rng.randint(-300, 300)
+        base = ClassOutputs(*sides)
+        scaled = ClassOutputs(*([math.ldexp(v, k) for v in side] for side in sides))
+        for fn in (wmw, ffc, ffd):
+            assert repr(fn(scaled)) == repr(fn(base)), (fn.__name__, sides, k)

@@ -209,7 +209,7 @@ def test_each_mutant_changes_one_token_of_the_source_text():
               "    x = (a +  # and\n"
               "         b) * 2 if a < b <= 3 and b >= 0 else a ** -1.5\n"
               "    x //= 2\n"
-              "    return x\n").encode()
+              "    return x if x == b != 0 else a\n").encode()
     lines = source.decode().splitlines()
     found = []
     for mutant in tool.mutants(Path("m.py"), source):
@@ -230,4 +230,7 @@ def test_each_mutant_changes_one_token_of_the_source_text():
         (3, "1.5 -> 2.5", "b) * 2 if a < b <= 3 and b >= 0 else a ** -2.5"),
         (4, "//= -> /=", "x /= 2"),
         (4, "2 -> 3", "x //= 3"),
+        (5, "== -> !=", "return x if x != b != 0 else a"),
+        (5, "!= -> ==", "return x if x == b == 0 else a"),
+        (5, "0 -> 1", "return x if x == b != 1 else a"),
     ]
